@@ -1,9 +1,9 @@
 //! Micro-benchmarks of the substrate hot paths: the row-wise convolution
 //! (forward/backward, both execution strategies), the `C(T)` cube
 //! construction, GEMM (all transpose variants), and the `M` transformation
-//! inside dCAM. These are ablation-style benches for the design choices
-//! called out in DESIGN.md (batch-parallel conv kernels, contiguous cube
-//! layout, im2col + packed GEMM).
+//! inside dCAM. These are ablation-style benches for the substrate's
+//! design choices (batch-parallel conv kernels, contiguous cube layout,
+//! im2col + packed GEMM).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dcam_nn::layers::{Conv2dRows, ConvStrategy, Layer};

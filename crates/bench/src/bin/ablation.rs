@@ -1,4 +1,4 @@
-//! Ablation study of the dCAM design choices (DESIGN.md §2):
+//! Ablation study of the dCAM design choices:
 //!
 //! 1. **Definition 3 decomposition** — dCAM multiplies the per-dimension
 //!    positional variance `σ²_p(M̄)` by the global temporal mean `μ(M̄)`.

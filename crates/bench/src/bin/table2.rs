@@ -1,5 +1,6 @@
 //! Table 2 + Figure 8: classification accuracy of all 13 methods over the
-//! UCR/UEA multivariate archive (synthetic stand-ins; see DESIGN.md §1).
+//! UCR/UEA multivariate archive (synthetic stand-ins; see
+//! `dcam_series::synth::uea`).
 //!
 //! Paper shape being reproduced (§5.3):
 //! * recurrent baselines trail CNN-based models;

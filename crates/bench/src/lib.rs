@@ -1,7 +1,6 @@
 //! Experiment harness regenerating every table and figure of the dCAM paper.
 //!
-//! Each binary in `src/bin/` reproduces one artifact (see DESIGN.md §3 for
-//! the full index):
+//! Each binary in `src/bin/` reproduces one artifact:
 //!
 //! | binary              | paper artifact |
 //! |---------------------|----------------|

@@ -25,9 +25,10 @@
 //! * one or more **worker threads** own a [`GapClassifier`] replica each
 //!   (replicate a trained model with [`replicate_model`]) and drive a
 //!   [`DcamBatcher`]: a flush fires when [`DcamBatcherConfig::max_pending`]
-//!   requests are buffered, when the oldest buffered request has waited
-//!   [`DcamBatcherConfig::max_wait`], or — with no `max_wait` configured —
-//!   as soon as the queue runs dry;
+//!   requests are buffered or as soon as the queue runs dry — dispatch is
+//!   work-conserving, and requests arriving during a flush form the next
+//!   batch. An opt-in [`DcamBatcherConfig::max_wait`] instead holds a
+//!   partial batch until its oldest request has waited that long;
 //! * with [`DcamService::spawn_with_recovery`], a worker whose engine
 //!   panics **re-spawns**: the batch in flight fails with
 //!   [`ServiceError::WorkerLost`], then the worker rebuilds its model from
@@ -299,16 +300,16 @@ impl<T> Drop for ResponseFuture<T> {
 pub struct ServiceConfig {
     /// Engine + flush policy each worker drives: dCAM semantics and
     /// mega-batch capacity (`batcher.many`), the full-batch flush
-    /// threshold (`batcher.max_pending`) and the partial-batch flush
-    /// deadline (`batcher.max_wait`).
+    /// threshold (`batcher.max_pending`) and the optional partial-batch
+    /// flush deadline (`batcher.max_wait`).
     ///
-    /// `max_wait` is the latency a partial batch pays on purpose: when the
-    /// queue runs dry with requests buffered, the worker keeps waiting for
-    /// more traffic until the oldest request hits the deadline — so a lone
-    /// request on an idle service resolves after ~`max_wait`. Set
-    /// `max_wait: None` for a purely count-driven policy where workers
-    /// instead flush as soon as the queue runs dry (lowest idle latency,
-    /// but bursty-with-gaps traffic then batches poorly).
+    /// The default (`max_wait: None`) is work-conserving: a worker flushes
+    /// its partial batch as soon as the queue runs dry, so a lone request
+    /// on an idle service pays no wait at all, and requests that arrive
+    /// while the worker is busy queue up and form the next batch.
+    /// Setting `max_wait` opts into holding a partial batch for more
+    /// traffic until its oldest request has waited that long — a lone
+    /// request then resolves after ~`max_wait` plus its engine time.
     pub batcher: DcamBatcherConfig,
     /// Bound of the shared request queue (requests accepted but not yet
     /// picked up by a worker). Must be at least 1.
@@ -333,10 +334,7 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            batcher: DcamBatcherConfig {
-                max_wait: Some(Duration::from_millis(10)),
-                ..Default::default()
-            },
+            batcher: DcamBatcherConfig::default(),
             queue_capacity: 1024,
             backpressure: Backpressure::Block,
             queue_policy: QueuePolicy::Fifo,
@@ -1315,9 +1313,9 @@ fn worker_loop(
                     break Step::Exit;
                 }
                 if state.batcher.pending() > 0 {
-                    // Queue dry with a partial batch: wait for more traffic
-                    // only until the batch's deadline; with no max_wait
-                    // configured, serve the partial batch right away.
+                    // Queue dry with a partial batch: serve it right away,
+                    // or — with an opt-in max_wait — wait for more traffic
+                    // until the batch's deadline.
                     let Some(deadline) = state.batcher.next_deadline() else {
                         break Step::Flush(FlushReason::QueueDrained);
                     };

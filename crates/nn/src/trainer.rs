@@ -2,6 +2,7 @@
 //! best-weights restoration — the procedure of §5.2 of the paper
 //! (Adam, cross-entropy, early stopping when the validation loss stalls).
 
+use crate::checkpoint::{self, Checkpoint};
 use crate::layers::Layer;
 use crate::loss::{predictions, softmax_cross_entropy};
 use crate::optim::Optimizer;
@@ -128,20 +129,8 @@ impl History {
     }
 }
 
-/// Snapshot of all parameter values (for best-weights restoration).
-fn snapshot(model: &mut dyn Layer) -> Vec<Tensor> {
-    let mut out = Vec::new();
-    model.visit_params(&mut |p| out.push(p.value.clone()));
-    out
-}
-
-fn restore(model: &mut dyn Layer, snap: &[Tensor]) {
-    let mut idx = 0;
-    model.visit_params(&mut |p| {
-        p.value = snap[idx].clone();
-        idx += 1;
-    });
-}
+/// Tag of the in-memory best-epoch snapshot.
+const BEST_TAG: &str = "best-epoch";
 
 /// Rescales all gradients so their global L2 norm is at most `max_norm`.
 fn clip_gradients(model: &mut dyn Layer, max_norm: f32) {
@@ -210,7 +199,9 @@ pub fn fit(
     let n = train.len();
     let mut history = History::default();
     let mut best_loss = f32::INFINITY;
-    let mut best_snap: Option<Vec<Tensor>> = None;
+    // Parameters *and* buffers: batch-norm running statistics belong to
+    // the best epoch's model as much as its weights do.
+    let mut best_snap: Option<Checkpoint> = None;
     let mut since_best = 0usize;
 
     for epoch in 0..cfg.epochs {
@@ -259,7 +250,7 @@ pub fn fit(
             history.best_epoch = epoch;
             since_best = 0;
             if cfg.patience.is_some() {
-                best_snap = Some(snapshot(model));
+                best_snap = Some(checkpoint::save(model, BEST_TAG));
             }
         } else {
             since_best += 1;
@@ -273,7 +264,8 @@ pub fn fit(
     }
 
     if let Some(snap) = best_snap {
-        restore(model, &snap);
+        checkpoint::restore(model, &snap, BEST_TAG)
+            .expect("a snapshot of this model restores into it");
     }
     history
 }
@@ -281,7 +273,7 @@ pub fn fit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Dense, Relu, Sequential};
+    use crate::layers::{BatchNorm, Conv2dRows, Dense, GlobalAvgPool, Relu, Sequential};
     use crate::optim::Adam;
     use dcam_tensor::SeededRng;
 
@@ -346,6 +338,63 @@ mod tests {
         // Restored weights must reproduce (approximately) the best val loss.
         let (vl, _) = evaluate(&mut model, &val, 8);
         let best = history.best_loss();
+        assert!(
+            (vl - best).abs() < 1e-4,
+            "restored loss {vl} differs from best {best}"
+        );
+    }
+
+    /// Two-class `(1, 1, 16)` series: class 1 carries a bump at t = 6..10.
+    fn bump_set(n: usize, seed: u64) -> LabelledSet {
+        let mut rng = SeededRng::new(seed);
+        let mut inputs = Vec::new();
+        let mut labels = Vec::new();
+        for _ in 0..n {
+            let label = rng.index(2);
+            let x: Vec<f32> = (0..16)
+                .map(|t| {
+                    let bump = if label == 1 && (6..10).contains(&t) {
+                        1.5
+                    } else {
+                        0.0
+                    };
+                    bump + 0.5 * rng.normal()
+                })
+                .collect();
+            inputs.push(Tensor::from_vec(x, &[1, 1, 16]).unwrap());
+            labels.push(label);
+        }
+        LabelledSet::new(inputs, labels)
+    }
+
+    /// Best-epoch restoration must bring back the batch-norm running
+    /// statistics with the weights: the epochs after the best one keep
+    /// moving them, and evaluation normalizes with them.
+    #[test]
+    fn early_stopping_restores_batchnorm_buffers() {
+        let train = bump_set(48, 5);
+        let val = bump_set(24, 6);
+        let mut rng = SeededRng::new(11);
+        let mut model = Sequential::new()
+            .push(Conv2dRows::new(1, 4, 3, 1, 1, &mut rng))
+            .push(BatchNorm::new(4))
+            .push(Relu::new())
+            .push(GlobalAvgPool::new())
+            .push(Dense::new(4, 2, &mut rng));
+        let mut opt = Adam::new(0.05);
+        let cfg = TrainConfig {
+            epochs: 200,
+            batch_size: 8,
+            patience: Some(4),
+            ..Default::default()
+        };
+        let history = fit(&mut model, &mut opt, &train, Some(&val), &cfg);
+        assert!(
+            history.epochs_run > history.best_epoch + 1,
+            "early stopping must have trained past the best epoch"
+        );
+        let (vl, _) = evaluate(&mut model, &val, 8);
+        let best = history.val_loss[history.best_epoch];
         assert!(
             (vl - best).abs() < 1e-4,
             "restored loss {vl} differs from best {best}"

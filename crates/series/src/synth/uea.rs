@@ -7,7 +7,7 @@
 //! exactly and its approximate hardness (calibrated from the paper's
 //! reported baseline accuracy) via the noise/jitter level, so the relative
 //! comparisons (d- vs plain vs c- architectures, CNNs vs recurrents) remain
-//! meaningful. See DESIGN.md §1 for the substitution rationale.
+//! meaningful.
 //!
 //! Class structure of a stand-in: every class has (a) per-dimension smooth
 //! prototype curves and (b) a short *joint motif* added to a class-specific

@@ -96,9 +96,15 @@ impl Conn {
         !self.buf.is_empty()
     }
 
+    /// Bytes received but not yet consumed by [`Conn::read_request`].
+    pub(crate) fn buffered(&self) -> &[u8] {
+        &self.buf
+    }
+
     /// Reads one more chunk off the socket into the carry buffer.
-    /// `Ok(0)` is EOF; timeouts surface as [`RecvError::Idle`].
-    fn fill(&mut self) -> Result<usize, RecvError> {
+    /// `Ok(0)` is EOF; timeouts — and, on a non-blocking stream, an empty
+    /// socket — surface as [`RecvError::Idle`].
+    pub(crate) fn fill(&mut self) -> Result<usize, RecvError> {
         let mut tmp = [0u8; 4096];
         match self.stream.read(&mut tmp) {
             Ok(n) => {
@@ -120,7 +126,9 @@ impl Conn {
     /// Reads (or finishes reading) one request. Respects the stream's
     /// configured read timeout: a timeout mid-request keeps the partial
     /// bytes buffered and returns [`RecvError::Idle`], so the caller can
-    /// poll a shutdown flag between attempts.
+    /// poll a shutdown flag between attempts. A malformed or oversized
+    /// request also leaves the buffer as it was, so another reader of the
+    /// same connection sees the same error.
     pub fn read_request(&mut self, max_body: usize) -> Result<Request, RecvError> {
         loop {
             if let Some(head_end) = find_crlf2(&self.buf) {

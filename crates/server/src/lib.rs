@@ -44,7 +44,12 @@
 //! Architecture: one **accept thread** pushes connections into a bounded
 //! backlog; a pool of **connection workers** parses requests (keep-alive,
 //! `Content-Length` framing, body-size cap) and submits them through the
-//! resolved model's [`ServiceHandle`]. Queue backpressure surfaces as
+//! resolved model's [`ServiceHandle`]. A worker serves one connection at a
+//! time, so keep-alive clients (a router's pooled upstream connections)
+//! can hold every worker; connections accepted then are read by the
+//! accept thread first, which answers `GET /healthz` itself and hands
+//! anything else to the backlog — liveness probes never wait for a
+//! worker. Queue backpressure surfaces as
 //! HTTP 503 with a `Retry-After` header, per-request deadlines as 504,
 //! malformed payloads as structured 400 bodies. A client that disconnects
 //! mid-request **cancels** its explanation (the service skips the cube
@@ -100,7 +105,7 @@ use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::io;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -121,9 +126,10 @@ pub struct ServerFaults {
     /// `POST /v1/explain` and `/v1/classify` answer 500 without touching
     /// the service — a shard whose serving path is broken.
     pub fail_requests: AtomicBool,
-    /// Every request handler sleeps this many milliseconds before doing
-    /// anything — a wedged or overloaded shard (drives client/router
-    /// timeouts deterministically).
+    /// Every request a connection worker handles sleeps this many
+    /// milliseconds before doing anything — a wedged or overloaded shard
+    /// (drives client/router timeouts deterministically). Health probes
+    /// the accept thread answers while every worker is busy do not stall.
     pub stall_ms: AtomicU64,
     /// `POST /v1/models/{name}/swap` answers 500 before the registry is
     /// touched — for rollout abort drills.
@@ -266,13 +272,28 @@ impl Counters {
     }
 }
 
+/// Accepted connections waiting for a connection worker, and the workers
+/// waiting for a connection.
+#[derive(Default)]
+struct Backlog {
+    conns: VecDeque<Conn>,
+    idle_workers: usize,
+}
+
+impl Backlog {
+    /// Whether a connection pushed now would be picked up right away.
+    fn has_free_worker(&self) -> bool {
+        self.conns.len() < self.idle_workers
+    }
+}
+
 /// State shared by the accept thread and the connection workers.
 struct Ctx {
     registry: Arc<ModelRegistry>,
     cfg: ServerConfig,
     counters: Counters,
     shutdown: AtomicBool,
-    conns: Mutex<VecDeque<TcpStream>>,
+    backlog: Mutex<Backlog>,
     conns_ready: Condvar,
     eval: JobStore<wire::EvalRequest, EvalReport>,
     analyze: JobStore<wire::AnalyzeRequest, MotifReport>,
@@ -346,7 +367,7 @@ pub fn serve_registry(registry: Arc<ModelRegistry>, cfg: ServerConfig) -> io::Re
         cfg: cfg.clone(),
         counters: Counters::default(),
         shutdown: AtomicBool::new(false),
-        conns: Mutex::new(VecDeque::new()),
+        backlog: Mutex::default(),
         conns_ready: Condvar::new(),
         eval,
         analyze,
@@ -470,7 +491,102 @@ impl Drop for DcamServer {
     }
 }
 
+/// A connection the accept thread holds while every connection worker is
+/// busy, until its next request shows whether it is a liveness probe.
+struct Triaged {
+    conn: Conn,
+    /// When the connection arrived or its last probe was answered.
+    since: Instant,
+}
+
+/// What a triaged connection's buffered bytes show.
+enum Triage {
+    /// Not enough bytes yet to tell.
+    Undecided,
+    /// A complete `GET /healthz` request.
+    Probe(Request),
+    /// Anything else: a connection worker's job.
+    Work,
+    /// The peer closed or the socket failed.
+    Gone,
+}
+
+/// Request line prefix of the liveness probe the accept thread answers.
+const PROBE_LINE: &[u8] = b"GET /healthz HTTP/1.";
+
+/// Reads what the (non-blocking) connection has and classifies it.
+fn triage(conn: &mut Conn, max_body: usize) -> Triage {
+    let eof = match conn.fill() {
+        Ok(n) => n == 0,
+        Err(RecvError::Idle) => false,
+        Err(_) => return Triage::Gone,
+    };
+    let buf = conn.buffered();
+    let n = buf.len().min(PROBE_LINE.len());
+    if buf[..n] != PROBE_LINE[..n] {
+        return Triage::Work;
+    }
+    if n < PROBE_LINE.len() {
+        return if eof { Triage::Gone } else { Triage::Undecided };
+    }
+    match conn.read_request(max_body) {
+        Ok(req) => Triage::Probe(req),
+        Err(RecvError::Idle) if !eof => Triage::Undecided,
+        Err(RecvError::Idle | RecvError::Closed | RecvError::Io(_)) => Triage::Gone,
+        // Malformed: the buffer is intact, a worker answers the 400/413.
+        Err(RecvError::Bad(_) | RecvError::TooLarge { .. }) => Triage::Work,
+    }
+}
+
+/// Queues a connection for the connection workers.
+fn hand_off(ctx: &Ctx, mut conn: Conn) {
+    if conn.stream().set_nonblocking(false).is_ok() {
+        lock(&ctx.backlog).conns.push_back(conn);
+        ctx.conns_ready.notify_one();
+    }
+}
+
+/// One pass over the held connections: answers health probes in place and
+/// hands everything else to the backlog as soon as it shows a non-probe
+/// request line or a worker frees up. A connection silent past the
+/// keep-alive window is closed, as a worker would close it; one stuck
+/// mid-request goes to a worker, whose request deadline answers it.
+fn triage_pass(held: &mut Vec<Triaged>, ctx: &Ctx) {
+    let mut i = 0;
+    while i < held.len() {
+        match triage(&mut held[i].conn, ctx.cfg.max_body_bytes) {
+            Triage::Probe(req) => {
+                ctx.counters.requests.fetch_add(1, Ordering::Relaxed);
+                let (status, body) = health(ctx);
+                match respond(&mut held[i].conn, ctx, status, &[], &body, req.close) {
+                    After::KeepAlive => {
+                        held[i].since = Instant::now();
+                        i += 1;
+                    }
+                    After::Close => drop(held.swap_remove(i)),
+                }
+            }
+            Triage::Undecided => {
+                let stale = held[i].since.elapsed() >= ctx.cfg.idle_keepalive;
+                if lock(&ctx.backlog).has_free_worker() || (stale && held[i].conn.has_partial()) {
+                    hand_off(ctx, held.swap_remove(i).conn);
+                } else if stale {
+                    drop(held.swap_remove(i));
+                } else {
+                    i += 1;
+                }
+            }
+            Triage::Work => hand_off(ctx, held.swap_remove(i).conn),
+            Triage::Gone => drop(held.swap_remove(i)),
+        }
+    }
+}
+
 fn accept_loop(listener: TcpListener, ctx: &Ctx) {
+    // Connections accepted while every worker was busy (see `triage_pass`).
+    // Dropped on shutdown, like connections that arrive after it: no
+    // worker has started a request on them.
+    let mut held: Vec<Triaged> = Vec::new();
     while !ctx.shutdown.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -478,9 +594,9 @@ fn accept_loop(listener: TcpListener, ctx: &Ctx) {
                     .connections_accepted
                     .fetch_add(1, Ordering::Relaxed);
                 let _ = stream.set_nodelay(true);
-                let mut conns = lock(&ctx.conns);
-                if conns.len() >= ctx.cfg.conn_backlog {
-                    drop(conns);
+                let mut backlog = lock(&ctx.backlog);
+                if backlog.conns.len() + held.len() >= ctx.cfg.conn_backlog {
+                    drop(backlog);
                     ctx.counters
                         .connections_rejected
                         .fetch_add(1, Ordering::Relaxed);
@@ -494,18 +610,24 @@ fn accept_loop(listener: TcpListener, ctx: &Ctx) {
                         &wire::error_body("overloaded", "connection backlog full"),
                         true,
                     );
-                } else {
-                    conns.push_back(stream);
-                    drop(conns);
+                } else if backlog.has_free_worker() {
+                    backlog.conns.push_back(Conn::new(stream));
+                    drop(backlog);
                     ctx.conns_ready.notify_one();
+                } else if stream.set_nonblocking(true).is_ok() {
+                    held.push(Triaged {
+                        conn: Conn::new(stream),
+                        since: Instant::now(),
+                    });
                 }
             }
-            // Non-blocking accept: sleep briefly so shutdown stays
-            // responsive without spinning a core.
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+            // Non-blocking accept: nothing pending, so look at the held
+            // connections, then sleep briefly so shutdown stays responsive
+            // without spinning a core.
+            Err(_) => {
+                triage_pass(&mut held, ctx);
                 std::thread::sleep(Duration::from_millis(2));
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
 }
@@ -516,11 +638,11 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 fn conn_worker(ctx: &Ctx) {
     loop {
-        let stream = {
-            let mut conns = lock(&ctx.conns);
+        let conn = {
+            let mut backlog = lock(&ctx.backlog);
             loop {
-                if let Some(s) = conns.pop_front() {
-                    break Some(s);
+                if let Some(c) = backlog.conns.pop_front() {
+                    break Some(c);
                 }
                 // Drain semantics: accepted connections are served even
                 // after shutdown starts; only an *empty* backlog lets a
@@ -528,15 +650,17 @@ fn conn_worker(ctx: &Ctx) {
                 if ctx.shutdown.load(Ordering::Acquire) {
                     break None;
                 }
-                conns = ctx
+                backlog.idle_workers += 1;
+                backlog = ctx
                     .conns_ready
-                    .wait_timeout(conns, Duration::from_millis(100))
+                    .wait_timeout(backlog, Duration::from_millis(100))
                     .unwrap_or_else(|poisoned| poisoned.into_inner())
                     .0;
+                backlog.idle_workers -= 1;
             }
         };
-        let Some(stream) = stream else { return };
-        handle_connection(Conn::new(stream), ctx);
+        let Some(conn) = conn else { return };
+        handle_connection(conn, ctx);
     }
 }
 
@@ -654,16 +778,6 @@ fn route(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
     if stall > 0 {
         std::thread::sleep(Duration::from_millis(stall));
     }
-    if ctx.cfg.faults.fail_healthz.load(Ordering::Relaxed) && req.path == "/healthz" {
-        return respond(
-            conn,
-            ctx,
-            500,
-            &[],
-            &wire::error_body("unhealthy", "health check failing (injected fault)"),
-            false,
-        );
-    }
     if ctx.cfg.faults.fail_requests.load(Ordering::Relaxed)
         && matches!(req.path.as_str(), "/v1/explain" | "/v1/classify")
     {
@@ -773,22 +887,8 @@ fn route(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
     }
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
-            // Liveness must stay cheap: queue depths only, no latency
-            // snapshots (those are /stats and /v1/models work).
-            let body = serde_json::to_string(&Value::Object(vec![
-                ("status".into(), Value::String("ok".into())),
-                ("models".into(), Value::Number(ctx.registry.len() as f64)),
-                (
-                    "workers".into(),
-                    Value::Number(ctx.registry.total_workers() as f64),
-                ),
-                (
-                    "queue_depth".into(),
-                    Value::Number(ctx.registry.total_queue_depth() as f64),
-                ),
-            ]))
-            .unwrap_or_default();
-            respond(conn, ctx, 200, &[], &body, false)
+            let (status, body) = health(ctx);
+            respond(conn, ctx, status, &[], &body, false)
         }
         ("GET", "/v1/models") => {
             let body = wire::models_body(&ctx.registry.list());
@@ -874,6 +974,32 @@ fn route(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
             false,
         ),
     }
+}
+
+/// Status and body of `GET /healthz`, on a connection worker or the accept
+/// thread. Liveness must stay cheap: queue depths only, no latency
+/// snapshots (those are /stats and /v1/models work).
+fn health(ctx: &Ctx) -> (u16, String) {
+    if ctx.cfg.faults.fail_healthz.load(Ordering::Relaxed) {
+        return (
+            500,
+            wire::error_body("unhealthy", "health check failing (injected fault)"),
+        );
+    }
+    let body = serde_json::to_string(&Value::Object(vec![
+        ("status".into(), Value::String("ok".into())),
+        ("models".into(), Value::Number(ctx.registry.len() as f64)),
+        (
+            "workers".into(),
+            Value::Number(ctx.registry.total_workers() as f64),
+        ),
+        (
+            "queue_depth".into(),
+            Value::Number(ctx.registry.total_queue_depth() as f64),
+        ),
+    ]))
+    .unwrap_or_default();
+    (200, body)
 }
 
 fn parse_json_body(conn: &mut Conn, req: &Request, ctx: &Ctx) -> Result<Value, After> {

@@ -6,7 +6,9 @@
 //! a structured 503 + `Retry-After` fast, never hang; injected shard
 //! faults (erroring and stalling handlers) must fail over; and a rolling
 //! model swap under sustained load must drop nothing, while a failing
-//! shard aborts the rollout with a per-shard report.
+//! shard aborts the rollout with a per-shard report; and a default-config
+//! shard whose connection workers the router's own traffic holds must
+//! still pass its health probes.
 
 use dcam::arch::{ArchDescriptor, ArchFamily};
 use dcam::dcam::{compute_dcam, DcamConfig};
@@ -468,6 +470,81 @@ fn run_kill_scenario(
         survivor_entry.get("proxied_ok").and_then(Value::as_usize) > Some(0),
         "survivor never served: {survivor_entry:?}"
     );
+}
+
+/// Health probes must not starve behind the router's own traffic. A
+/// default-config shard has two connection workers, and under two-connection
+/// load the router's two pooled upstream connections hold both of them for
+/// as long as the load runs. `/healthz` is answered without a connection
+/// worker, so the probes keep passing and no request is answered
+/// `503 no_healthy_replica`.
+#[test]
+fn default_shard_stays_healthy_under_two_connection_load() {
+    let registry = Arc::new(ModelRegistry::new());
+    registry
+        .register_from_checkpoint(
+            "default",
+            write_ckpt("probe-default", &tiny_desc(3, 2), 80),
+            service_cfg(),
+            1,
+        )
+        .unwrap();
+    let shard = serve_registry(Arc::clone(&registry), ServerConfig::default()).expect("bind shard");
+    let shard_addr = shard.addr().to_string();
+    let router = serve_router(RouterConfig {
+        shards: vec![shard_addr.clone()],
+        ..RouterConfig::default()
+    })
+    .expect("bind router");
+    let addr = router.addr().to_string();
+
+    let stop = AtomicBool::new(false);
+    let (served, refused) = (AtomicU64::new(0), AtomicU64::new(0));
+    std::thread::scope(|scope| {
+        let _stop_guard = StopOnDrop(&stop);
+        for t in 0..2u64 {
+            let (addr, stop, served, refused) = (addr.clone(), &stop, &served, &refused);
+            scope.spawn(move || {
+                let mut client = HttpClient::connect(&addr).expect("connect");
+                let mut i = 0u64;
+                while !stop.load(Ordering::Acquire) {
+                    let resp = client
+                        .post(
+                            "/v1/explain",
+                            &explain_body(12_000 + t * 1000 + i, (i % 2) as usize),
+                        )
+                        .expect("router connection must not break");
+                    let counter = if resp.status == 200 { served } else { refused };
+                    counter.fetch_add(1, Ordering::Relaxed);
+                    i += 1;
+                }
+            });
+        }
+        // Several times the default prober's failure window (3 probes ×
+        // (500 ms timeout + 200 ms interval)).
+        std::thread::sleep(Duration::from_secs(6));
+    });
+    let (served, refused) = (served.into_inner(), refused.into_inner());
+    assert!(served > 20, "load generator barely ran: {served} requests");
+    assert_eq!(
+        refused,
+        0,
+        "{refused} of {} requests refused",
+        served + refused
+    );
+
+    let mut client = HttpClient::connect(&addr).expect("connect");
+    let fleet = client.get("/fleet").unwrap().json().unwrap();
+    assert!(healthy(&fleet_entry(&fleet, &shard_addr)), "{fleet:?}");
+    assert_eq!(
+        fleet
+            .get("router")
+            .and_then(|r| r.get("unavailable_503"))
+            .and_then(Value::as_usize),
+        Some(0)
+    );
+    router.shutdown();
+    shard.shutdown();
 }
 
 /// Every replica down: requests get a *fast*, structured 503 with

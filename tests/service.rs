@@ -2,8 +2,9 @@
 //! (`dcam::service`): correctness under concurrent submission (every
 //! result must match a per-instance `compute_dcam`, independent of how
 //! requests interleave across workers and batches), graceful shutdown
-//! draining, every backpressure policy, the `max_wait` partial-batch
-//! flush, and per-request error propagation.
+//! draining, every backpressure policy, the default flush on a drained
+//! queue and the opt-in `max_wait` partial-batch flush, and per-request
+//! error propagation.
 
 use dcam::arch::cnn;
 use dcam::dcam::{compute_dcam, DcamConfig};
@@ -16,7 +17,7 @@ use dcam::{GapClassifier, InputEncoding, ModelScale, Precision};
 use dcam_series::MultivariateSeries;
 use dcam_tensor::{SeededRng, Tensor};
 use proptest::prelude::*;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn toy_series(d: usize, n: usize, seed: u64) -> MultivariateSeries {
     let mut rng = SeededRng::new(seed);
@@ -174,6 +175,52 @@ fn shutdown_drains_queued_requests() {
         let want = compute_dcam(&mut reference, &series, (i % 2) as usize, &dcam_cfg);
         assert!(close(&got.dcam, &want.dcam), "request {i}");
     }
+}
+
+/// The shipped default is work-conserving: a lone request on an idle
+/// service flushes the moment the worker finds the queue dry, instead of
+/// sitting out a batching deadline. Its submit→answer latency is then its
+/// engine time plus dispatch, nowhere near a 10 ms wait.
+#[test]
+fn lone_request_on_default_config_flushes_when_queue_drains() {
+    let (d, n) = (3usize, 12usize);
+    let dcam_cfg = DcamConfig {
+        k: 4,
+        only_correct: false,
+        ..Default::default()
+    };
+    let mut cfg = ServiceConfig::default();
+    cfg.batcher.many.dcam = dcam_cfg.clone();
+    let service = DcamService::spawn(vec![toy_model(d, 2, 47)], cfg);
+    let series = toy_series(d, n, 120);
+    let got = service
+        .handle()
+        .submit(&series, 1)
+        .unwrap()
+        .wait()
+        .expect("lone request served");
+    let (_, stats) = service.shutdown();
+    assert_eq!(stats.completed, 1);
+    assert_eq!(
+        stats.flushes_deadline, 0,
+        "the default config has no batching deadline: {stats:?}"
+    );
+    assert_eq!(
+        stats.flushes_drained, 1,
+        "the lone request flushes when the queue drains: {stats:?}"
+    );
+
+    let mut reference = toy_model(d, 2, 47);
+    let start = Instant::now();
+    let want = compute_dcam(&mut reference, &series, 1, &dcam_cfg);
+    let engine = start.elapsed();
+    assert!(close(&got.dcam, &want.dcam));
+    let overhead = stats.mean_latency.saturating_sub(engine);
+    assert!(
+        overhead < Duration::from_millis(5),
+        "service overhead {overhead:?} (latency {:?}, engine {engine:?})",
+        stats.mean_latency
+    );
 }
 
 /// A partial batch must not wait forever: with `max_pending` far above the
