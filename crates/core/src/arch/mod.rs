@@ -338,6 +338,22 @@ impl GapClassifier {
         (features, logits)
     }
 
+    /// [`GapClassifier::forward_with_features_eval`] of a batch of permuted
+    /// dCAM cubes, each given as `(series, permutation)` (see
+    /// [`Layer::forward_eval_cubes`]). A long-kernel first convolution
+    /// runs without materialising the cubes; every other first layer gets
+    /// them assembled into an arena buffer.
+    pub fn forward_cubes_with_features_eval(
+        &mut self,
+        samples: &[(&[f32], &[usize])],
+        arena: &mut dcam_nn::BatchArena,
+    ) -> (Tensor, Tensor) {
+        let features = self.features.forward_eval_cubes(samples, arena);
+        let pooled = self.gap.forward(&features, false);
+        let logits = self.head.forward(&pooled, false);
+        (features, logits)
+    }
+
     /// Pins every convolution in the feature extractor to `strategy`
     /// (e.g. for A/B benchmarking or to rule out a path); pass
     /// [`ConvStrategy::Auto`] to restore per-geometry selection.

@@ -91,19 +91,6 @@ pub(crate) fn sample_perms(d: usize, cfg: &DcamConfig) -> Vec<Vec<usize>> {
     perms
 }
 
-/// Assembles one permuted cube `C(S_T)` into `dst` (`D²·n` elements) by
-/// `D²` straight row copies: `C(S_T)[p, r, t] = T^(perm[(p+r) mod D])[t]`.
-pub(crate) fn assemble_cube(sd: &[f32], d: usize, n: usize, perm: &[usize], dst: &mut [f32]) {
-    debug_assert_eq!(dst.len(), d * d * n);
-    for p in 0..d {
-        for r in 0..d {
-            let src_dim = perm[(p + r) % d];
-            let src = &sd[src_dim * n..(src_dim + 1) * n];
-            dst[(p * d + r) * n..(p * d + r + 1) * n].copy_from_slice(src);
-        }
-    }
-}
-
 /// Running `M`-transformation sums of one dCAM computation: permutations
 /// that count toward the configured result (`contrib`) and the rest, so the
 /// `contributors == 0` fallback can reuse the already-computed
@@ -298,16 +285,16 @@ impl MAccumulator {
 /// retrained — exactly as in §4.4.2.
 ///
 /// Implementation: a batched permutation engine. The cube of a permuted
-/// series satisfies `C(S_T)[p, r, t] = T^(perm[(p+r) mod D])[t]`, so each
-/// permuted cube is assembled by `D²` straight row copies from the original
-/// series into one reused batch buffer — no `permute_dims` intermediate, no
-/// per-permutation cube allocation, no batch re-stacking. CAMs for the whole
+/// series satisfies `C(S_T)[p, r, t] = T^(perm[(p+r) mod D])[t]`, so the
+/// engine hands the model `(series, permutation)` pairs
+/// ([`GapClassifier::forward_cubes_with_features_eval`]). A long-kernel
+/// first convolution never builds the cubes: it convolves each series row
+/// with each kernel channel once and gathers every cube row from those
+/// responses. Any other first layer gets the cubes assembled by `D²`
+/// straight row copies into one reused arena buffer. CAMs for the whole
 /// batch come from [`weighted_map_batch`] reading the feature tensor in
 /// place, and the `M`-transformation re-indexing is parallelized across the
-/// permutations of a batch. The per-permutation cube and feature-slice
-/// allocations of the original implementation are gone entirely; what
-/// remains per batch is the model forward itself plus the `M`-transform
-/// worker accumulators inside [`par_accumulate`].
+/// permutations of a batch inside [`par_accumulate`].
 ///
 /// ```
 /// use dcam::arch::{cnn, InputEncoding, ModelScale};
@@ -343,7 +330,6 @@ pub fn compute_dcam(
     let perms = sample_perms(d, cfg);
 
     let sd = series.tensor().data();
-    let plane_cube = d * d * n;
     let mut acc = MAccumulator::new(d, n);
 
     let batch = cfg.batch.max(1);
@@ -356,24 +342,13 @@ pub fn compute_dcam(
         let batch_perms = &perms[start..end];
         let bs = end - start;
 
-        // Assemble the batch of permuted cubes by row-rotation copies into
-        // an arena buffer (fully overwritten, so arbitrary contents are
-        // fine) that the eval forward recycles layer by layer.
-        let mut cube_buf = arena.take(bs * plane_cube);
-        for (bi, perm) in batch_perms.iter().enumerate() {
-            assemble_cube(
-                sd,
-                d,
-                n,
-                perm,
-                &mut cube_buf[bi * plane_cube..(bi + 1) * plane_cube],
-            );
-        }
-        let xb = Tensor::from_vec(cube_buf, &[bs, d, d, n]).expect("cube batch shape");
         // The allocation-free inference path: reuses pooled buffers across
         // batches and is the path where a `Precision::Int8` model's
-        // quantized convolution kernels engage.
-        let (features, logits) = model.forward_with_features_eval(xb, &mut arena);
+        // quantized convolution kernels engage. The first layer builds
+        // the permuted cubes itself, or skips them (long kernels).
+        let samples: Vec<(&[f32], &[usize])> =
+            batch_perms.iter().map(|perm| (sd, &perm[..])).collect();
+        let (features, logits) = model.forward_cubes_with_features_eval(&samples, &mut arena);
         let k_classes = logits.dims()[1];
 
         // Row-wise CAMs of the whole batch, read from features in place.

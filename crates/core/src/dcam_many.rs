@@ -21,10 +21,10 @@
 
 use crate::arch::{GapClassifier, InputEncoding};
 use crate::cam::weighted_map_batch_classes;
-use crate::dcam::{assemble_cube, sample_perms, DcamConfig, DcamResult, MAccumulator};
+use crate::dcam::{sample_perms, DcamConfig, DcamResult, MAccumulator};
 use dcam_nn::BatchArena;
 use dcam_series::MultivariateSeries;
-use dcam_tensor::{argmax, Tensor};
+use dcam_tensor::argmax;
 use std::time::{Duration, Instant};
 
 /// One explanation request: explain `series` for `class`.
@@ -111,7 +111,6 @@ pub fn compute_dcam_many_with_arena(
     // config), so batched and sequential runs are comparable term by term.
     let perms = sample_perms(d, &cfg.dcam);
     let k = perms.len();
-    let plane_cube = d * d * n;
     let only_correct = cfg.dcam.only_correct;
 
     let mut accs: Vec<MAccumulator> = requests.iter().map(|_| MAccumulator::new(d, n)).collect();
@@ -125,24 +124,15 @@ pub fn compute_dcam_many_with_arena(
         let w1 = (w0 + max_batch).min(total);
         let bs = w1 - w0;
 
-        // Assemble the mega-batch: work item w is permutation `w % k` of
-        // request `w / k`, so requests occupy contiguous segments.
-        let mut cube_buf = arena.take(bs * plane_cube);
+        // The mega-batch: work item w is permutation `w % k` of request
+        // `w / k`, so requests occupy contiguous segments.
+        let samples: Vec<(&[f32], &[usize])> = (w0..w1)
+            .map(|w| (requests[w / k].series.tensor().data(), &perms[w % k][..]))
+            .collect();
         classes.clear();
-        for (bi, w) in (w0..w1).enumerate() {
-            let (inst, pi) = (w / k, w % k);
-            assemble_cube(
-                requests[inst].series.tensor().data(),
-                d,
-                n,
-                &perms[pi],
-                &mut cube_buf[bi * plane_cube..(bi + 1) * plane_cube],
-            );
-            classes.push(requests[inst].class);
-        }
+        classes.extend((w0..w1).map(|w| requests[w / k].class));
 
-        let xb = Tensor::from_vec(cube_buf, &[bs, d, d, n]).expect("mega-batch shape");
-        let (features, logits) = model.forward_with_features_eval(xb, arena);
+        let (features, logits) = model.forward_cubes_with_features_eval(&samples, arena);
         let k_classes = logits.dims()[1];
 
         // Per-request-class CAMs of the whole mega-batch, read in place.
@@ -395,7 +385,7 @@ mod tests {
     use super::*;
     use crate::arch::{cnn, ModelScale};
     use crate::dcam::compute_dcam;
-    use dcam_tensor::SeededRng;
+    use dcam_tensor::{SeededRng, Tensor};
 
     fn toy_series(d: usize, n: usize, seed: u64) -> MultivariateSeries {
         let mut rng = SeededRng::new(seed);

@@ -1,4 +1,4 @@
-use super::Layer;
+use super::{assemble_cubes, Layer};
 use crate::arena::BatchArena;
 use crate::Param;
 use dcam_tensor::Tensor;
@@ -49,6 +49,23 @@ impl Layer for Sequential {
     fn forward_eval(&mut self, x: Tensor, arena: &mut BatchArena) -> Tensor {
         let mut cur = x;
         for layer in &mut self.layers {
+            cur = layer.forward_eval(cur, arena);
+        }
+        cur
+    }
+
+    /// Only the first layer sees the cube samples; the rest of the chain
+    /// runs the ordinary eval walk on its output.
+    fn forward_eval_cubes(
+        &mut self,
+        samples: &[(&[f32], &[usize])],
+        arena: &mut BatchArena,
+    ) -> Tensor {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return assemble_cubes(samples, arena);
+        };
+        let mut cur = first.forward_eval_cubes(samples, arena);
+        for layer in rest {
             cur = layer.forward_eval(cur, arena);
         }
         cur

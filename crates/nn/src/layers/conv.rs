@@ -1,14 +1,14 @@
 use super::conv_fft::{FftConv, FftGeom};
 use super::im2col::{col2im_acc, im2col, im2col_panel, sample_threads, split_ranges, ConvGeom};
-use super::Layer;
+use super::{assemble_cubes, cube_dims, Layer};
 use crate::arena::BatchArena;
 use crate::parallel::{par_accumulate, par_chunk_zip};
 use crate::quant::QuantState;
 use crate::{init, Param};
 use dcam_tensor::{
-    dequantize_row, gemm_nn, gemm_nt, gemm_packed_panel_batch, gemm_packed_strided_b, gemm_tn,
-    k_groups, qgemm_i32, quantize_lane_into, weight_scale, PackedA, QuantizedWeights, SeededRng,
-    Tensor, ACT_ZERO_POINT,
+    dequantize_row, gemm_nn, gemm_nt, gemm_packed, gemm_packed_panel_batch, gemm_packed_strided_b,
+    gemm_tn, k_groups, qgemm_i32, quantize_lane_into, weight_scale, PackedA, QuantizedWeights,
+    SeededRng, Tensor, ACT_ZERO_POINT, GEMM_NR,
 };
 use std::sync::OnceLock;
 
@@ -72,6 +72,14 @@ const FFT_MIN_LEN: usize = 13;
 /// over the butterfly cost must amortize the transform's fixed per-call
 /// overhead, which shrinks relative to im2col as the series grows.
 const FFT_MIN_WORK: usize = 36_000;
+/// Auto runs a dCAM first layer cube-free ([`Conv2dRows::forward_eval_gathered`])
+/// from this many kernel taps up. The gather-add costs about as much as
+/// ℓ ≈ 4 multiply-adds: at ℓ = 3 the shift-GEMM over the cube wins, from
+/// ℓ = 5 the gather does (sweep in PERF.md).
+const GATHER_MIN_LEN: usize = 5;
+/// Floats of per-dimension responses one time block of the cube-free path
+/// holds (512 KiB, inside L2), so every sample reads them from cache.
+const GATHER_TILE: usize = 1 << 17;
 
 fn env_strategy() -> Option<ConvStrategy> {
     static OVERRIDE: OnceLock<Option<ConvStrategy>> = OnceLock::new();
@@ -117,9 +125,10 @@ pub struct Conv2dRows {
     /// (forward) or `threads × 2·col_len` (backward), grown on demand and
     /// reused across batches.
     scratch: Vec<f32>,
-    /// Weight matrix prepacked for the fused inference path; repacked at
-    /// every `forward_eval` call (a single `c_out × c_in·ℓ` copy), so it can
-    /// never go stale across optimizer steps.
+    /// Weight matrix prepacked for the fused inference path (`c_out ×
+    /// c_in·ℓ`) and the cube-free path (`c_out·c_in × ℓ`); repacked at
+    /// every call (a single copy), so it can never go stale across
+    /// optimizer steps.
     packed_w: PackedA,
     /// Per-tap `(c_out × c_in)` weight slices prepacked for the shift-GEMM
     /// eval path; repacked per call like `packed_w`.
@@ -730,6 +739,134 @@ impl Conv2dRows {
         Tensor::from_vec(out_buf, &[n, c_out, h, w]).expect("conv eval shape")
     }
 
+    /// True when [`Layer::forward_eval_cubes`] takes the cube-free path:
+    /// the layer is unpinned `Auto` (no [`Conv2dRows::set_strategy`], no
+    /// `DCAM_CONV_STRATEGY` pin), stride 1, f32, reads `D`-channel cubes,
+    /// and its kernel is long enough for the gather to win.
+    fn gathers_cubes(&self, d: usize) -> bool {
+        self.strategy == ConvStrategy::Auto
+            && env_strategy().is_none_or(|s| s == ConvStrategy::Auto)
+            && self.stride == 1
+            && !self.quant.engaged()
+            && !self.quant.calibrating
+            && self.c_in == d
+            && self.len >= GATHER_MIN_LEN
+    }
+
+    /// The cube-free dCAM first layer behind [`Layer::forward_eval_cubes`],
+    /// run regardless of its gate (benchmarks and tests call it directly).
+    ///
+    /// Channel `p` of row `r` of a permuted cube is series row
+    /// `perm[(p+r) mod D]`, so output row `r` is
+    /// `bias + Σ_p U[co, p, perm[(p+r) mod D]]` with
+    /// `U[co, p, dim] = conv(W[co, p, ·], T^dim)`. `U` depends on the series
+    /// only, not on the permutation, so each run of consecutive samples
+    /// sharing one series (by slice identity) computes it once per worker
+    /// thread. It is built one time block at a time: per series row, one
+    /// GEMM of `W`, viewed as `(C_out·D) × ℓ`, against the block's
+    /// `ℓ × block` patch panels. Every sample of the run then gathers its
+    /// output block from it, adding `D` rows of `U` per output row where
+    /// the cube path does `D·ℓ` multiply-adds. Only one cache-sized block
+    /// of `U` ever exists, and no cube does.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the layer has stride 1 and `D` input channels.
+    pub fn forward_eval_gathered(
+        &mut self,
+        samples: &[(&[f32], &[usize])],
+        arena: &mut BatchArena,
+    ) -> Tensor {
+        const NR: usize = GEMM_NR;
+        let (d, n) = cube_dims(samples);
+        assert_eq!(self.c_in, d, "cube channels: got {d}, want {}", self.c_in);
+        assert_eq!(self.stride, 1, "the gathered path needs stride 1");
+        let (c_out, c_in, l) = (self.c_out, self.c_in, self.len);
+        let wo = self.out_width(n);
+        let rows = c_out * c_in;
+        // Time blocks of `bp` whole panels, as many as keep one block of U
+        // for all D series rows within GATHER_TILE. The series' D rows are a
+        // one-channel, D-row input padded to whole blocks, so patch panels
+        // `(dim·blocks + tb)·bp ..` hold block `tb` of row `dim` (past
+        // W_out: outputs nobody reads).
+        let panels = wo.div_ceil(NR);
+        let blocks = panels.div_ceil((GATHER_TILE / (d * rows * NR)).max(1));
+        let bp = panels.div_ceil(blocks);
+        let tb_len = bp * NR;
+        let geom = ConvGeom {
+            c_in: 1,
+            wo: blocks * tb_len,
+            ..self.geom(d, n, wo)
+        };
+        self.packed_w.pack_nn(rows, l, self.weight.value.data());
+
+        let sample_out = c_out * d * wo;
+        let mut out_buf = arena.take(samples.len() * sample_out);
+        let threads = sample_threads(samples.len());
+        let scratch_len = (d * rows + l) * tb_len;
+        let mut scratch = arena.take(threads * scratch_len);
+        let (pw, bd) = (&self.packed_w, self.bias.value.data());
+        let run = |range: std::ops::Range<usize>, out_chunk: &mut [f32], scratch: &mut [f32]| {
+            // `u[dim]` is the `rows × tb_len` block of U, `pb` its panels.
+            let (u, pb) = scratch.split_at_mut(d * rows * tb_len);
+            let mut i0 = range.start;
+            while i0 < range.end {
+                let series = samples[i0].0;
+                let i1 = (i0..range.end)
+                    .find(|&i| !std::ptr::eq(samples[i].0, series))
+                    .unwrap_or(range.end);
+                for tb in 0..blocks {
+                    for (dim, u_dim) in u.chunks_exact_mut(rows * tb_len).enumerate() {
+                        for (q, panel) in pb.chunks_exact_mut(l * NR).enumerate() {
+                            im2col_panel(&geom, series, (dim * blocks + tb) * bp + q, panel);
+                        }
+                        gemm_packed(pw, tb_len, pb, u_dim, false);
+                    }
+                    let t0 = tb * tb_len;
+                    let width = tb_len.min(wo - t0);
+                    for (co, &b) in bd.iter().enumerate() {
+                        for si in i0..i1 {
+                            let perm = samples[si].1;
+                            let y = &mut out_chunk[(si - range.start) * sample_out..][..sample_out];
+                            for r in 0..d {
+                                let row = (co * d + r) * wo + t0;
+                                let dst = &mut y[row..row + width];
+                                dst.fill(b);
+                                let mut slot = r;
+                                for p in 0..c_in {
+                                    let src = (perm[slot] * rows + co * c_in + p) * tb_len;
+                                    for (o, v) in dst.iter_mut().zip(&u[src..src + width]) {
+                                        *o += v;
+                                    }
+                                    slot = if slot + 1 == d { 0 } else { slot + 1 };
+                                }
+                            }
+                        }
+                    }
+                }
+                i0 = i1;
+            }
+        };
+        if threads <= 1 {
+            run(0..samples.len(), &mut out_buf, &mut scratch);
+        } else {
+            std::thread::scope(|sc| {
+                let mut out_rest = &mut out_buf[..];
+                let mut scratch_rest = &mut scratch[..];
+                for range in split_ranges(samples.len(), threads) {
+                    let (out_chunk, tail) = out_rest.split_at_mut(range.len() * sample_out);
+                    out_rest = tail;
+                    let (s, s_tail) = scratch_rest.split_at_mut(scratch_len);
+                    scratch_rest = s_tail;
+                    let run = &run;
+                    sc.spawn(move || run(range, out_chunk, s));
+                }
+            });
+        }
+        arena.give(scratch);
+        Tensor::from_vec(out_buf, &[samples.len(), c_out, d, wo]).expect("conv gather shape")
+    }
+
     /// True when this call should take the quantized kernels: the int8
     /// path is engaged ([`QuantState::engaged`]) and the geometry is a
     /// stride-1 "same" convolution — `pad_left + pad_right + 1 == len`
@@ -993,6 +1130,18 @@ impl Layer for Conv2dRows {
                 y
             }
         }
+    }
+
+    fn forward_eval_cubes(
+        &mut self,
+        samples: &[(&[f32], &[usize])],
+        arena: &mut BatchArena,
+    ) -> Tensor {
+        if self.gathers_cubes(cube_dims(samples).0) {
+            return self.forward_eval_gathered(samples, arena);
+        }
+        let x = assemble_cubes(samples, arena);
+        self.forward_eval(x, arena)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -1261,6 +1410,73 @@ mod tests {
                 "c_in {c_in} c_out {c_out} len {len} h {h} w {w}"
             );
         }
+    }
+
+    /// Two series and one permutation per sample; sample 2 belongs to the
+    /// second series, so the batch straddles them.
+    fn cube_batch(d: usize, n: usize, rng: &mut SeededRng) -> (Vec<Vec<f32>>, Vec<Vec<usize>>) {
+        let series = (0..2)
+            .map(|_| (0..d * n).map(|_| rng.uniform_in(-1.0, 1.0)).collect())
+            .collect();
+        let perms = (0..4).map(|_| rng.permutation(d)).collect();
+        (series, perms)
+    }
+
+    #[test]
+    fn gathered_cubes_match_assembled_cubes() {
+        use crate::arena::BatchArena;
+        let mut rng = SeededRng::new(31);
+        // Odd and even kernels (asymmetric same-padding), a kernel longer
+        // than the series, and a short kernel the gate would refuse.
+        for (d, len, n) in [
+            (2usize, 13usize, 40usize),
+            (3, 14, 33),
+            (6, 39, 64),
+            (3, 9, 5),
+            (4, 3, 17),
+        ] {
+            let (series, perms) = cube_batch(d, n, &mut rng);
+            let samples: Vec<(&[f32], &[usize])> = [0, 0, 1, 0]
+                .iter()
+                .zip(&perms)
+                .map(|(&s, p)| (&series[s][..], &p[..]))
+                .collect();
+            let mut conv = Conv2dRows::same(d, 5, len, &mut SeededRng::new(len as u64));
+            conv.bias.value = Tensor::uniform(&[5], -0.5, 0.5, &mut rng);
+            let mut arena = BatchArena::new();
+            let got = conv.forward_eval_gathered(&samples, &mut arena);
+            conv.set_strategy(ConvStrategy::Im2col);
+            let cubes = assemble_cubes(&samples, &mut arena);
+            let want = conv.forward_eval(cubes, &mut arena);
+            assert_eq!(got.dims(), want.dims());
+            let scale = want.data().iter().fold(1.0f32, |a, v| a.max(v.abs()));
+            assert!(got.allclose(&want, 1e-5 * scale), "d {d} len {len} n {n}");
+        }
+    }
+
+    #[test]
+    fn cube_gate_needs_unpinned_long_f32_kernels() {
+        use crate::quant::Precision;
+        let mut rng = SeededRng::new(32);
+        let short = Conv2dRows::same(6, 4, GATHER_MIN_LEN - 1, &mut rng);
+        let mut long = Conv2dRows::same(6, 4, 39, &mut rng);
+        let strided = Conv2dRows::new(6, 4, 39, 2, 19, &mut rng);
+        assert!(!short.gathers_cubes(6));
+        assert!(!strided.gathers_cubes(6));
+        assert!(!long.gathers_cubes(5), "channel count must match D");
+        let unpinned = matches!(
+            std::env::var("DCAM_CONV_STRATEGY").as_deref(),
+            Err(_) | Ok("auto")
+        );
+        assert_eq!(long.gathers_cubes(6), unpinned);
+        long.visit_quant(&mut |q| {
+            q.precision = Precision::Int8;
+            q.act_scale = Some(0.01);
+        });
+        assert!(!long.gathers_cubes(6), "int8 keeps the cube path");
+        long.visit_quant(&mut |q| q.precision = Precision::F32);
+        long.set_strategy(ConvStrategy::Fft);
+        assert!(!long.gathers_cubes(6), "a pin keeps the cube path");
     }
 
     #[test]

@@ -59,6 +59,25 @@ pub trait Layer: Send {
         y
     }
 
+    /// [`Layer::forward_eval`] of a batch of permuted dCAM cubes `C(S_T)`,
+    /// each described by the `(series, permutation)` it is built from
+    /// rather than materialised: `series` is one `D × n` row-major series
+    /// and `perm[j]` the dimension in slot `j` (see [`assemble_cubes`]).
+    /// Every sample must share one `(D, n)`.
+    ///
+    /// The default assembles the cubes into an arena buffer and runs
+    /// `forward_eval` on them. [`Sequential`] hands the call to its first
+    /// layer only; [`Conv2dRows`] overrides it to skip the cube for long
+    /// kernels.
+    fn forward_eval_cubes(
+        &mut self,
+        samples: &[(&[f32], &[usize])],
+        arena: &mut BatchArena,
+    ) -> Tensor {
+        let x = assemble_cubes(samples, arena);
+        self.forward_eval(x, arena)
+    }
+
     /// Visits every trainable parameter in a construction-stable order.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
 
@@ -95,26 +114,38 @@ pub trait Layer: Send {
     }
 }
 
-impl Layer for Box<dyn Layer> {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        (**self).forward(x, train)
+/// Assembles the permuted cubes of `samples` (see
+/// [`Layer::forward_eval_cubes`]) into one `(B, D, D, n)` batch drawn from
+/// `arena`, by `D²` straight row copies per sample:
+/// `C(S_T)[p, r, t] = T^(perm[(p+r) mod D])[t]`.
+pub fn assemble_cubes(samples: &[(&[f32], &[usize])], arena: &mut BatchArena) -> Tensor {
+    let (d, n) = cube_dims(samples);
+    let plane = d * d * n;
+    let mut buf = arena.take(samples.len() * plane);
+    for ((series, perm), dst) in samples.iter().zip(buf.chunks_exact_mut(plane)) {
+        for p in 0..d {
+            for r in 0..d {
+                let src_dim = perm[(p + r) % d];
+                dst[(p * d + r) * n..(p * d + r + 1) * n]
+                    .copy_from_slice(&series[src_dim * n..(src_dim + 1) * n]);
+            }
+        }
     }
-    fn forward_eval(&mut self, x: Tensor, arena: &mut BatchArena) -> Tensor {
-        (**self).forward_eval(x, arena)
+    Tensor::from_vec(buf, &[samples.len(), d, d, n]).expect("cube batch shape")
+}
+
+/// The shared `(D, n)` of a non-empty batch of cube samples.
+pub(crate) fn cube_dims(samples: &[(&[f32], &[usize])]) -> (usize, usize) {
+    let (series, perm) = samples.first().expect("cube batch must not be empty");
+    let d = perm.len();
+    assert!(d > 0 && series.len() % d == 0, "series is not D × n");
+    let n = series.len() / d;
+    for (s, p) in samples {
+        assert_eq!(
+            (s.len(), p.len()),
+            (d * n, d),
+            "cube samples must share (D, n)"
+        );
     }
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        (**self).backward(grad_out)
-    }
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        (**self).visit_params(f)
-    }
-    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut Vec<f32>)) {
-        (**self).visit_buffers(f)
-    }
-    fn visit_convs(&mut self, f: &mut dyn FnMut(&mut Conv2dRows)) {
-        (**self).visit_convs(f)
-    }
-    fn visit_quant(&mut self, f: &mut dyn FnMut(&mut crate::quant::QuantState)) {
-        (**self).visit_quant(f)
-    }
+    (d, n)
 }
