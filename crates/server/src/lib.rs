@@ -295,8 +295,36 @@ struct Ctx {
     shutdown: AtomicBool,
     backlog: Mutex<Backlog>,
     conns_ready: Condvar,
-    eval: JobStore<wire::EvalRequest, EvalReport>,
-    analyze: JobStore<wire::AnalyzeRequest, MotifReport>,
+    eval: JobKind<wire::EvalRequest, EvalReport>,
+    analyze: JobKind<wire::AnalyzeRequest, MotifReport>,
+}
+
+/// One kind of background job (`/v1/eval`, `/v1/analyze`): what the shared
+/// job path — routes, status, cancel, runner thread, persisted reports —
+/// needs to know about it.
+struct JobKind<S, R> {
+    /// Route segment (`/v1/{name}`), persisted report prefix
+    /// (`{name}-{id}.json`) and runner thread name.
+    name: &'static str,
+    store: JobStore<S, R>,
+    /// `POST /v1/{name}`: parses and validates a spec (the checks differ
+    /// per kind), then hands it to [`enqueue`].
+    submit: fn(&mut Conn, &Request, &Ctx) -> After,
+    /// The `report` field of a finished job's status body.
+    report_value: fn(&R) -> Value,
+    /// The work itself, on the runner thread.
+    run: fn(&Ctx, S, &AtomicBool) -> Result<R, String>,
+}
+
+impl<S, R> JobKind<S, R> {
+    fn status_body(&self, id: u64, status: &JobStatus<R>) -> String {
+        let (report, error) = match status {
+            JobStatus::Done(report) => (Some((self.report_value)(report)), None),
+            JobStatus::Failed(msg) => (None, Some(msg.as_str())),
+            _ => (None, None),
+        };
+        wire::job_status_body(id, status.name(), report, error)
+    }
 }
 
 impl Ctx {
@@ -323,8 +351,7 @@ pub struct DcamServer {
     addr: SocketAddr,
     accept_thread: Option<JoinHandle<()>>,
     conn_threads: Vec<JoinHandle<()>>,
-    eval_thread: Option<JoinHandle<()>>,
-    analyze_thread: Option<JoinHandle<()>>,
+    job_threads: Vec<JoinHandle<()>>,
     draining: bool,
 }
 
@@ -353,14 +380,28 @@ pub fn serve_registry(registry: Arc<ModelRegistry>, cfg: ServerConfig) -> io::Re
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let eval = JobStore::new(cfg.eval_capacity);
-    let analyze = JobStore::new(cfg.analyze_capacity);
+    let eval = JobKind {
+        name: "eval",
+        store: JobStore::new(cfg.eval_capacity),
+        submit: handle_eval_submit,
+        report_value: wire::eval_report_value,
+        run: run_eval_job,
+    };
+    let analyze = JobKind {
+        name: "analyze",
+        store: JobStore::new(cfg.analyze_capacity),
+        submit: handle_analyze_submit,
+        report_value: wire::motif_report_value,
+        run: run_analyze_job,
+    };
     if let Some(dir) = cfg.jobs_dir.as_deref() {
         // A bad jobs directory should fail boot loudly, not surface as
         // silently non-durable reports later.
         std::fs::create_dir_all(dir)?;
-        eval.reserve_through(max_persisted_id(dir, "eval"));
-        analyze.reserve_through(max_persisted_id(dir, "analyze"));
+        eval.store.reserve_through(max_persisted_id(dir, eval.name));
+        analyze
+            .store
+            .reserve_through(max_persisted_id(dir, analyze.name));
     }
     let ctx = Arc::new(Ctx {
         registry,
@@ -372,20 +413,10 @@ pub fn serve_registry(registry: Arc<ModelRegistry>, cfg: ServerConfig) -> io::Re
         eval,
         analyze,
     });
-    let eval_thread = {
-        let ctx = Arc::clone(&ctx);
-        std::thread::Builder::new()
-            .name("dcam-eval-runner".into())
-            .spawn(move || eval_runner(&ctx))
-            .expect("spawn eval runner thread")
-    };
-    let analyze_thread = {
-        let ctx = Arc::clone(&ctx);
-        std::thread::Builder::new()
-            .name("dcam-analyze-runner".into())
-            .spawn(move || analyze_runner(&ctx))
-            .expect("spawn analyze runner thread")
-    };
+    let job_threads = vec![
+        spawn_job_runner(&ctx, |ctx| &ctx.eval),
+        spawn_job_runner(&ctx, |ctx| &ctx.analyze),
+    ];
     let accept_thread = {
         let ctx = Arc::clone(&ctx);
         std::thread::Builder::new()
@@ -407,8 +438,7 @@ pub fn serve_registry(registry: Arc<ModelRegistry>, cfg: ServerConfig) -> io::Re
         addr,
         accept_thread: Some(accept_thread),
         conn_threads,
-        eval_thread: Some(eval_thread),
-        analyze_thread: Some(analyze_thread),
+        job_threads,
         draining: false,
     })
 }
@@ -462,18 +492,16 @@ impl DcamServer {
     fn stop_threads(&mut self) {
         self.ctx.shutdown.store(true, Ordering::Release);
         self.ctx.conns_ready.notify_all();
-        self.ctx.eval.notify_shutdown();
-        self.ctx.analyze.notify_shutdown();
+        self.ctx.eval.store.notify_shutdown();
+        self.ctx.analyze.store.notify_shutdown();
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        for t in self.conn_threads.drain(..) {
-            let _ = t.join();
-        }
-        if let Some(t) = self.eval_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.analyze_thread.take() {
+        for t in self
+            .conn_threads
+            .drain(..)
+            .chain(self.job_threads.drain(..))
+        {
             let _ = t.join();
         }
     }
@@ -781,92 +809,25 @@ fn route(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
     if ctx.cfg.faults.fail_requests.load(Ordering::Relaxed)
         && matches!(req.path.as_str(), "/v1/explain" | "/v1/classify")
     {
-        return respond(
+        return respond_error(
             conn,
             ctx,
             500,
-            &[],
-            &wire::error_body("injected_failure", "request path failing (injected fault)"),
-            false,
+            "injected_failure",
+            "request path failing (injected fault)",
         );
     }
-    // Eval-job routes: `/v1/eval` and `/v1/eval/{id}`.
-    if let Some(rest) = req.path.strip_prefix("/v1/eval/") {
-        let Ok(id) = rest.parse::<u64>() else {
-            return respond(
-                conn,
-                ctx,
-                404,
-                &[],
-                &wire::error_body("unknown_job", &format!("no eval job \"{rest}\"")),
-                false,
-            );
-        };
-        return match req.method.as_str() {
-            "GET" => handle_eval_status(conn, ctx, id),
-            "DELETE" => handle_eval_cancel(conn, ctx, id),
-            _ => respond(
-                conn,
-                ctx,
-                405,
-                &[("allow", "GET, DELETE".into())],
-                &wire::error_body("method_not_allowed", "use GET or DELETE"),
-                false,
-            ),
-        };
-    }
-    if req.path == "/v1/eval" {
-        return if req.method == "POST" {
-            handle_eval_submit(conn, req, ctx)
-        } else {
-            respond(
-                conn,
-                ctx,
-                405,
-                &[("allow", "POST".into())],
-                &wire::error_body("method_not_allowed", "use POST"),
-                false,
-            )
-        };
-    }
-    // Analyze-job routes: `/v1/analyze` and `/v1/analyze/{id}`.
-    if let Some(rest) = req.path.strip_prefix("/v1/analyze/") {
-        let Ok(id) = rest.parse::<u64>() else {
-            return respond(
-                conn,
-                ctx,
-                404,
-                &[],
-                &wire::error_body("unknown_job", &format!("no analyze job \"{rest}\"")),
-                false,
-            );
-        };
-        return match req.method.as_str() {
-            "GET" => handle_analyze_status(conn, ctx, id),
-            "DELETE" => handle_analyze_cancel(conn, ctx, id),
-            _ => respond(
-                conn,
-                ctx,
-                405,
-                &[("allow", "GET, DELETE".into())],
-                &wire::error_body("method_not_allowed", "use GET or DELETE"),
-                false,
-            ),
-        };
-    }
-    if req.path == "/v1/analyze" {
-        return if req.method == "POST" {
-            handle_analyze_submit(conn, req, ctx)
-        } else {
-            respond(
-                conn,
-                ctx,
-                405,
-                &[("allow", "POST".into())],
-                &wire::error_body("method_not_allowed", "use POST"),
-                false,
-            )
-        };
+    // Job routes: `/v1/{kind}` and `/v1/{kind}/{id}`.
+    if let Some(rest) = req.path.strip_prefix("/v1/") {
+        let (segment, id) = rest
+            .split_once('/')
+            .map_or((rest, None), |(s, id)| (s, Some(id)));
+        if segment == ctx.eval.name {
+            return route_job(conn, req, ctx, &ctx.eval, id);
+        }
+        if segment == ctx.analyze.name {
+            return route_job(conn, req, ctx, &ctx.analyze, id);
+        }
     }
     // Model-admin routes: `/v1/models/{name}/swap`.
     if let Some(rest) = req.path.strip_prefix("/v1/models/") {
@@ -874,14 +835,7 @@ fn route(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
             return if req.method == "POST" {
                 handle_swap(conn, req, ctx, name)
             } else {
-                respond(
-                    conn,
-                    ctx,
-                    405,
-                    &[("allow", "POST".into())],
-                    &wire::error_body("method_not_allowed", "use POST"),
-                    false,
-                )
+                method_not_allowed(conn, ctx, "POST")
             };
         }
     }
@@ -931,12 +885,12 @@ fn route(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
             ]);
             let jobs = Value::Object(vec![
                 (
-                    "eval".into(),
-                    wire::job_counters_value(&ctx.eval.counters()),
+                    ctx.eval.name.into(),
+                    wire::job_counters_value(&ctx.eval.store.counters()),
                 ),
                 (
-                    "analyze".into(),
-                    wire::job_counters_value(&ctx.analyze.counters()),
+                    ctx.analyze.name.into(),
+                    wire::job_counters_value(&ctx.analyze.store.counters()),
                 ),
             ]);
             let body = serde_json::to_string(&Value::Object(vec![
@@ -949,31 +903,50 @@ fn route(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
         }
         ("POST", "/v1/explain") => handle_explain(conn, req, ctx),
         ("POST", "/v1/classify") => handle_classify(conn, req, ctx),
-        (_, "/healthz" | "/stats" | "/v1/models") => respond(
-            conn,
-            ctx,
-            405,
-            &[("allow", "GET".into())],
-            &wire::error_body("method_not_allowed", "use GET"),
-            false,
-        ),
-        (_, "/v1/explain" | "/v1/classify") => respond(
-            conn,
-            ctx,
-            405,
-            &[("allow", "POST".into())],
-            &wire::error_body("method_not_allowed", "use POST"),
-            false,
-        ),
-        (_, path) => respond(
-            conn,
-            ctx,
-            404,
-            &[],
-            &wire::error_body("not_found", &format!("no route for {path}")),
-            false,
-        ),
+        (_, "/healthz" | "/stats" | "/v1/models") => method_not_allowed(conn, ctx, "GET"),
+        (_, "/v1/explain" | "/v1/classify") => method_not_allowed(conn, ctx, "POST"),
+        (_, path) => respond_error(conn, ctx, 404, "not_found", &format!("no route for {path}")),
     }
+}
+
+/// Answers `status` with a structured error body, keeping the connection.
+fn respond_error(conn: &mut Conn, ctx: &Ctx, status: u16, code: &str, message: &str) -> After {
+    respond(
+        conn,
+        ctx,
+        status,
+        &[],
+        &wire::error_body(code, message),
+        false,
+    )
+}
+
+/// A backpressure 503 with `Retry-After`.
+fn respond_overloaded(conn: &mut Conn, ctx: &Ctx, message: &str) -> After {
+    ctx.counters
+        .backpressure_503
+        .fetch_add(1, Ordering::Relaxed);
+    respond(
+        conn,
+        ctx,
+        503,
+        &[("retry-after", ctx.cfg.retry_after_s.to_string())],
+        &wire::error_body("overloaded", message),
+        false,
+    )
+}
+
+/// 405 naming the methods the route takes (`allow`, e.g. `"GET, DELETE"`).
+fn method_not_allowed(conn: &mut Conn, ctx: &Ctx, allow: &str) -> After {
+    let message = format!("use {}", allow.replace(", ", " or "));
+    respond(
+        conn,
+        ctx,
+        405,
+        &[("allow", allow.into())],
+        &wire::error_body("method_not_allowed", &message),
+        false,
+    )
 }
 
 /// Status and body of `GET /healthz`, on a connection worker or the accept
@@ -1003,30 +976,28 @@ fn health(ctx: &Ctx) -> (u16, String) {
 }
 
 fn parse_json_body(conn: &mut Conn, req: &Request, ctx: &Ctx) -> Result<Value, After> {
-    let text = match std::str::from_utf8(&req.body) {
-        Ok(t) => t,
-        Err(_) => {
-            return Err(respond(
-                conn,
-                ctx,
-                400,
-                &[],
-                &wire::error_body("bad_json", "request body is not UTF-8"),
-                false,
-            ))
-        }
-    };
-    match serde_json::parse(text) {
-        Ok(v) => Ok(v),
-        Err(e) => Err(respond(
+    let Ok(text) = std::str::from_utf8(&req.body) else {
+        return Err(respond_error(
             conn,
             ctx,
             400,
-            &[],
-            &wire::error_body("bad_json", &e.to_string()),
-            false,
-        )),
-    }
+            "bad_json",
+            "request body is not UTF-8",
+        ));
+    };
+    serde_json::parse(text).map_err(|e| respond_error(conn, ctx, 400, "bad_json", &e.to_string()))
+}
+
+/// The body parsed as JSON and then by `parse`; a body either step
+/// rejects has been answered with a structured 400.
+fn parse_request<T>(
+    conn: &mut Conn,
+    req: &Request,
+    ctx: &Ctx,
+    parse: fn(&Value) -> Result<T, String>,
+) -> Result<T, After> {
+    let value = parse_json_body(conn, req, ctx)?;
+    parse(&value).map_err(|msg| respond_error(conn, ctx, 400, "bad_request", &msg))
 }
 
 /// Length-leaking but content-constant-time byte comparison: enough to
@@ -1048,39 +1019,22 @@ fn tenant_key(tenant: &str) -> u64 {
 fn respond_submit_error(conn: &mut Conn, ctx: &Ctx, err: ServiceError) -> After {
     match err {
         ServiceError::ShapeMismatch { .. } => {
-            let body = wire::error_body("shape_mismatch", &err.to_string());
-            respond(conn, ctx, 400, &[], &body, false)
+            respond_error(conn, ctx, 400, "shape_mismatch", &err.to_string())
         }
         ServiceError::EmptySeries => {
-            let body = wire::error_body("empty_series", &err.to_string());
-            respond(conn, ctx, 400, &[], &body, false)
+            respond_error(conn, ctx, 400, "empty_series", &err.to_string())
         }
         ServiceError::InvalidClass { .. } => {
-            let body = wire::error_body("invalid_class", &err.to_string());
-            respond(conn, ctx, 400, &[], &body, false)
+            respond_error(conn, ctx, 400, "invalid_class", &err.to_string())
         }
         ServiceError::QueueFull { .. } | ServiceError::SubmitTimeout { .. } => {
-            ctx.counters
-                .backpressure_503
-                .fetch_add(1, Ordering::Relaxed);
-            let body = wire::error_body("overloaded", &err.to_string());
-            respond(
-                conn,
-                ctx,
-                503,
-                &[("retry-after", ctx.cfg.retry_after_s.to_string())],
-                &body,
-                false,
-            )
+            respond_overloaded(conn, ctx, &err.to_string())
         }
         ServiceError::ShuttingDown => {
             let body = wire::error_body("shutting_down", &err.to_string());
             respond(conn, ctx, 503, &[], &body, true)
         }
-        other => {
-            let body = wire::error_body("internal", &other.to_string());
-            respond(conn, ctx, 500, &[], &body, false)
-        }
+        other => respond_error(conn, ctx, 500, "internal", &other.to_string()),
     }
 }
 
@@ -1094,26 +1048,28 @@ fn respond_registry_error(conn: &mut Conn, ctx: &Ctx, err: RegistryError) -> Aft
         RegistryError::GeometryMismatch { .. } => (409, "geometry_mismatch"),
         RegistryError::Checkpoint(_) => (422, "bad_checkpoint"),
     };
-    let body = wire::error_body(code, &err.to_string());
-    respond(conn, ctx, status, &[], &body, false)
+    respond_error(conn, ctx, status, code, &err.to_string())
 }
 
 /// Resolves the model a request names (or the registry's default) into a
 /// submission handle, with the server's deadline bound applied: a `Block`
-/// backpressure policy would park a connection worker on a full queue with
-/// no deadline and no disconnect detection, so it is rebound to a timeout.
-/// (In-process submitters keep whatever policy the service was configured
-/// with — this only rebinds the transport's per-request handle.)
+/// backpressure policy would park a connection worker (or a job runner) on
+/// a full queue with no deadline and no disconnect detection, so it is
+/// rebound to a timeout. (In-process submitters keep whatever policy the
+/// service was configured with — this only rebinds the server's handle.)
+fn bounded_handle(ctx: &Ctx, model: Option<&str>) -> Result<ServiceHandle, RegistryError> {
+    let (_, handle) = ctx.registry.resolve(model)?;
+    Ok(match handle.backpressure() {
+        Backpressure::Block => {
+            handle.with_backpressure(Backpressure::Timeout(ctx.cfg.request_deadline))
+        }
+        _ => handle,
+    })
+}
+
+/// [`bounded_handle`] for a request, answering registry errors.
 fn resolve_handle(conn: &mut Conn, ctx: &Ctx, model: Option<&str>) -> Result<ServiceHandle, After> {
-    match ctx.registry.resolve(model) {
-        Ok((_, handle)) => Ok(match handle.backpressure() {
-            Backpressure::Block => {
-                handle.with_backpressure(Backpressure::Timeout(ctx.cfg.request_deadline))
-            }
-            _ => handle,
-        }),
-        Err(e) => Err(respond_registry_error(conn, ctx, e)),
-    }
+    bounded_handle(ctx, model).map_err(|e| respond_registry_error(conn, ctx, e))
 }
 
 /// `POST /v1/models/{name}/swap`: hot-swap the named model to the binary
@@ -1126,39 +1082,27 @@ fn handle_swap(conn: &mut Conn, req: &Request, ctx: &Ctx, name: &str) -> After {
     if let Some(expected) = ctx.cfg.admin_token.as_deref() {
         match req.header("x-admin-token") {
             None => {
-                return respond(
+                return respond_error(
                     conn,
                     ctx,
                     401,
-                    &[],
-                    &wire::error_body(
-                        "unauthorized",
-                        "this operator endpoint requires the X-Admin-Token header",
-                    ),
-                    false,
+                    "unauthorized",
+                    "this operator endpoint requires the X-Admin-Token header",
                 )
             }
             Some(got) if !constant_time_eq(got.as_bytes(), expected.as_bytes()) => {
-                return respond(
-                    conn,
-                    ctx,
-                    403,
-                    &[],
-                    &wire::error_body("forbidden", "X-Admin-Token does not match"),
-                    false,
-                )
+                return respond_error(conn, ctx, 403, "forbidden", "X-Admin-Token does not match")
             }
             Some(_) => {}
         }
     }
     if ctx.cfg.faults.fail_swap.load(Ordering::Relaxed) {
-        return respond(
+        return respond_error(
             conn,
             ctx,
             500,
-            &[],
-            &wire::error_body("injected_failure", "swap failing (injected fault)"),
-            false,
+            "injected_failure",
+            "swap failing (injected fault)",
         );
     }
     let value = match parse_json_body(conn, req, ctx) {
@@ -1166,13 +1110,12 @@ fn handle_swap(conn: &mut Conn, req: &Request, ctx: &Ctx, name: &str) -> After {
         Err(after) => return after,
     };
     let Some(path) = value.get("path").and_then(Value::as_str) else {
-        return respond(
+        return respond_error(
             conn,
             ctx,
             400,
-            &[],
-            &wire::error_body("bad_request", "missing string field \"path\""),
-            false,
+            "bad_request",
+            "missing string field \"path\"",
         );
     };
     if let Err(e) = dcam::registry::validate_model_name(name) {
@@ -1232,34 +1175,17 @@ fn await_future<T>(conn: &mut Conn, ctx: &Ctx, future: ResponseFuture<T>) -> Awa
 }
 
 fn handle_explain(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
-    let value = match parse_json_body(conn, req, ctx) {
-        Ok(v) => v,
+    let parsed = match parse_request(conn, req, ctx, wire::parse_explain) {
+        Ok(p) => p,
         Err(after) => return after,
     };
-    let parsed = match wire::parse_explain(&value) {
-        Ok(p) => p,
-        Err(msg) => {
-            return respond(
-                conn,
-                ctx,
-                400,
-                &[],
-                &wire::error_body("bad_request", &msg),
-                false,
-            )
-        }
-    };
     if parsed.inject_panic && !ctx.cfg.enable_fault_injection {
-        return respond(
+        return respond_error(
             conn,
             ctx,
             400,
-            &[],
-            &wire::error_body(
-                "fault_injection_disabled",
-                "this server does not honour inject_panic",
-            ),
-            false,
+            "fault_injection_disabled",
+            "this server does not honour inject_panic",
         );
     }
     let handle = match resolve_handle(conn, ctx, parsed.model.as_deref()) {
@@ -1282,17 +1208,14 @@ fn handle_explain(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
             let body = wire::explain_body(&result, parsed.summary, parsed.top_k);
             respond(conn, ctx, 200, &[], &body, false)
         }
-        Awaited::Done(Err(ServiceError::OnlyCorrectMiss { .. })) => {
-            let body = wire::error_body(
-                "only_correct_miss",
-                "no permutation was classified as the target class",
-            );
-            respond(conn, ctx, 422, &[], &body, false)
-        }
-        Awaited::Done(Err(e)) => {
-            let body = wire::error_body("worker_lost", &e.to_string());
-            respond(conn, ctx, 500, &[], &body, false)
-        }
+        Awaited::Done(Err(ServiceError::OnlyCorrectMiss { .. })) => respond_error(
+            conn,
+            ctx,
+            422,
+            "only_correct_miss",
+            "no permutation was classified as the target class",
+        ),
+        Awaited::Done(Err(e)) => respond_error(conn, ctx, 500, "worker_lost", &e.to_string()),
         Awaited::Disconnected => After::Close,
         Awaited::DeadlineExceeded => {
             let body = wire::error_body("deadline_exceeded", "request deadline exceeded");
@@ -1306,22 +1229,9 @@ fn handle_explain(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
 /// in the runner — so a bad request is a structured 400 at submit time
 /// instead of a `failed` job discovered on the first poll.
 fn handle_eval_submit(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
-    let value = match parse_json_body(conn, req, ctx) {
-        Ok(v) => v,
-        Err(after) => return after,
-    };
-    let parsed = match wire::parse_eval(&value) {
+    let parsed = match parse_request(conn, req, ctx, wire::parse_eval) {
         Ok(p) => p,
-        Err(msg) => {
-            return respond(
-                conn,
-                ctx,
-                400,
-                &[],
-                &wire::error_body("bad_request", &msg),
-                false,
-            )
-        }
+        Err(after) => return after,
     };
     let name = match ctx.registry.resolve(parsed.model.as_deref()) {
         Ok((name, _)) => name,
@@ -1330,21 +1240,12 @@ fn handle_eval_submit(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
     if let Some(info) = ctx.registry.list().into_iter().find(|m| m.name == name) {
         for (i, rows) in parsed.series_list.iter().enumerate() {
             if rows.len() != info.dims {
-                return respond(
-                    conn,
-                    ctx,
-                    400,
-                    &[],
-                    &wire::error_body(
-                        "shape_mismatch",
-                        &format!(
-                            "instance {i} has {} dimensions, model \"{name}\" expects {}",
-                            rows.len(),
-                            info.dims
-                        ),
-                    ),
-                    false,
+                let msg = format!(
+                    "instance {i} has {} dimensions, model \"{name}\" expects {}",
+                    rows.len(),
+                    info.dims
                 );
+                return respond_error(conn, ctx, 400, "shape_mismatch", &msg);
             }
         }
         if let Some((i, &l)) = parsed
@@ -1353,38 +1254,29 @@ fn handle_eval_submit(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
             .enumerate()
             .find(|(_, &l)| l >= info.n_classes)
         {
-            return respond(
-                conn,
-                ctx,
-                400,
-                &[],
-                &wire::error_body(
-                    "invalid_class",
-                    &format!(
-                        "labels[{i}] = {l} but model \"{name}\" has {} classes",
-                        info.n_classes
-                    ),
-                ),
-                false,
+            let msg = format!(
+                "labels[{i}] = {l} but model \"{name}\" has {} classes",
+                info.n_classes
             );
+            return respond_error(conn, ctx, 400, "invalid_class", &msg);
         }
     }
     if parsed.config.methods.contains(&ExplainerKind::Occlusion) {
         for (i, rows) in parsed.series_list.iter().enumerate() {
             let n = rows.first().map(Vec::len).unwrap_or(0);
             if let Err(e) = occlusion_spans(n, &parsed.config.occlusion) {
-                return respond(
-                    conn,
-                    ctx,
-                    400,
-                    &[],
-                    &wire::error_body("bad_occlusion_window", &format!("instance {i}: {e}")),
-                    false,
-                );
+                let msg = format!("instance {i}: {e}");
+                return respond_error(conn, ctx, 400, "bad_occlusion_window", &msg);
             }
         }
     }
-    match ctx.eval.submit(parsed) {
+    enqueue(conn, ctx, &ctx.eval, parsed)
+}
+
+/// Queues a validated job: 202 with its id, or a backpressure 503 while
+/// its kind is at capacity.
+fn enqueue<S, R: Clone>(conn: &mut Conn, ctx: &Ctx, kind: &JobKind<S, R>, spec: S) -> After {
+    match kind.store.submit(spec) {
         Some(id) => respond(
             conn,
             ctx,
@@ -1393,19 +1285,7 @@ fn handle_eval_submit(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
             &wire::job_submitted_body(id, "queued"),
             false,
         ),
-        None => {
-            ctx.counters
-                .backpressure_503
-                .fetch_add(1, Ordering::Relaxed);
-            respond(
-                conn,
-                ctx,
-                503,
-                &[("retry-after", ctx.cfg.retry_after_s.to_string())],
-                &wire::error_body("overloaded", "eval job queue is full"),
-                false,
-            )
-        }
+        None => respond_overloaded(conn, ctx, &format!("{} job queue is full", kind.name)),
     }
 }
 
@@ -1466,54 +1346,60 @@ fn read_persisted_report(dir: &Path, kind: &str, id: u64) -> Option<String> {
     std::fs::read_to_string(report_path(dir, kind, id)).ok()
 }
 
-/// `GET /v1/eval/{id}`: job status, plus the report once done or the
+/// Routes `/v1/{kind}` (`POST` submits) and `/v1/{kind}/{id}` (`GET`
+/// polls, `DELETE` cancels) for one job kind; `id` is the path past
+/// `/v1/{kind}/`, if any.
+fn route_job<S, R: Clone>(
+    conn: &mut Conn,
+    req: &Request,
+    ctx: &Ctx,
+    kind: &JobKind<S, R>,
+    id: Option<&str>,
+) -> After {
+    let Some(id) = id else {
+        return if req.method == "POST" {
+            (kind.submit)(conn, req, ctx)
+        } else {
+            method_not_allowed(conn, ctx, "POST")
+        };
+    };
+    let Ok(id) = id.parse::<u64>() else {
+        let msg = format!("no {} job \"{id}\"", kind.name);
+        return respond_error(conn, ctx, 404, "unknown_job", &msg);
+    };
+    match req.method.as_str() {
+        "GET" => job_status(conn, ctx, kind, id),
+        "DELETE" => job_cancel(conn, ctx, kind, id),
+        _ => method_not_allowed(conn, ctx, "GET, DELETE"),
+    }
+}
+
+/// `GET /v1/{kind}/{id}`: job status, plus the report once done or the
 /// failure message once failed. Ids unknown to the in-memory store fall
 /// back to a report persisted under [`ServerConfig::jobs_dir`].
-fn handle_eval_status(conn: &mut Conn, ctx: &Ctx, id: u64) -> After {
-    match ctx.eval.status(id) {
+fn job_status<S, R: Clone>(conn: &mut Conn, ctx: &Ctx, kind: &JobKind<S, R>, id: u64) -> After {
+    let body = match kind.store.status(id) {
+        Some(status) => kind.status_body(id, &status),
         None => match ctx
             .cfg
             .jobs_dir
             .as_deref()
-            .and_then(|dir| read_persisted_report(dir, "eval", id))
+            .and_then(|dir| read_persisted_report(dir, kind.name, id))
         {
-            Some(body) => respond(conn, ctx, 200, &[], &body, false),
-            None => respond(
-                conn,
-                ctx,
-                404,
-                &[],
-                &wire::error_body("unknown_job", &format!("no eval job {id}")),
-                false,
-            ),
+            Some(body) => body,
+            None => {
+                let msg = format!("no {} job {id}", kind.name);
+                return respond_error(conn, ctx, 404, "unknown_job", &msg);
+            }
         },
-        Some(status) => {
-            let body = match &status {
-                JobStatus::Done(report) => {
-                    wire::eval_status_body(id, status.name(), Some(report), None)
-                }
-                JobStatus::Failed(msg) => {
-                    wire::eval_status_body(id, status.name(), None, Some(msg))
-                }
-                _ => wire::eval_status_body(id, status.name(), None, None),
-            };
-            respond(conn, ctx, 200, &[], &body, false)
-        }
-    }
+    };
+    respond(conn, ctx, 200, &[], &body, false)
 }
 
-/// `DELETE /v1/eval/{id}`: cancel a queued or running job (idempotent on
+/// `DELETE /v1/{kind}/{id}`: cancel a queued or running job (idempotent on
 /// finished ones); answers with the status after the cancel took effect.
-fn handle_eval_cancel(conn: &mut Conn, ctx: &Ctx, id: u64) -> After {
-    match ctx.eval.cancel(id) {
-        None => respond(
-            conn,
-            ctx,
-            404,
-            &[],
-            &wire::error_body("unknown_job", &format!("no eval job {id}")),
-            false,
-        ),
+fn job_cancel<S, R: Clone>(conn: &mut Conn, ctx: &Ctx, kind: &JobKind<S, R>, id: u64) -> After {
+    match kind.store.cancel(id) {
         Some(status) => respond(
             conn,
             ctx,
@@ -1522,21 +1408,54 @@ fn handle_eval_cancel(conn: &mut Conn, ctx: &Ctx, id: u64) -> After {
             &wire::job_submitted_body(id, status.name()),
             false,
         ),
+        None => {
+            let msg = format!("no {} job {id}", kind.name);
+            respond_error(conn, ctx, 404, "unknown_job", &msg)
+        }
     }
 }
 
-/// The eval runner thread: drains the job queue one job at a time,
+/// Starts the runner thread of the job kind `kind` picks out of `ctx`.
+fn spawn_job_runner<S: Send + 'static, R: Clone + Send + 'static>(
+    ctx: &Arc<Ctx>,
+    kind: fn(&Ctx) -> &JobKind<S, R>,
+) -> JoinHandle<()> {
+    let ctx = Arc::clone(ctx);
+    std::thread::Builder::new()
+        .name(format!("dcam-{}-runner", kind(&ctx).name))
+        .spawn(move || job_runner(&ctx, kind(&ctx)))
+        .expect("spawn job runner thread")
+}
+
+/// A job kind's runner thread: drains its queue one job at a time,
 /// re-resolving the target model per job (a swap between submit and run
-/// evaluates the new generation — exactly what live traffic would see).
-fn eval_runner(ctx: &Ctx) {
-    while let Some((id, spec, cancel)) = ctx.eval.next_job(&ctx.shutdown) {
-        let result = run_eval_job(ctx, spec, &cancel);
+/// works on the new generation — exactly what live traffic would see), and
+/// persists each finished report when [`ServerConfig::jobs_dir`] is set.
+fn job_runner<S, R: Clone>(ctx: &Ctx, kind: &JobKind<S, R>) {
+    while let Some((id, spec, cancel)) = kind.store.next_job(&ctx.shutdown) {
+        let result = (kind.run)(ctx, spec, &cancel);
         if let (Some(dir), Ok(report)) = (ctx.cfg.jobs_dir.as_deref(), &result) {
-            let body = wire::eval_status_body(id, "done", Some(report), None);
-            persist_report(dir, "eval", id, &body);
+            let body = wire::job_status_body(id, "done", Some((kind.report_value)(report)), None);
+            persist_report(dir, kind.name, id, &body);
         }
-        ctx.eval.finish(id, result);
+        kind.store.finish(id, result);
     }
+}
+
+/// A job's model as a service backend (deadline-bound like a request's,
+/// so a runner never parks forever on a full queue either) and its
+/// instances as series.
+fn job_inputs(
+    ctx: &Ctx,
+    model: Option<&str>,
+    series_list: &[Vec<Vec<f32>>],
+) -> Result<(ServiceBackend, Vec<MultivariateSeries>), String> {
+    let handle = bounded_handle(ctx, model).map_err(|e| e.to_string())?;
+    let samples = series_list
+        .iter()
+        .map(|rows| MultivariateSeries::from_rows(rows))
+        .collect();
+    Ok((ServiceBackend::new(handle, None), samples))
 }
 
 fn run_eval_job(
@@ -1544,24 +1463,7 @@ fn run_eval_job(
     spec: wire::EvalRequest,
     cancel: &AtomicBool,
 ) -> Result<EvalReport, String> {
-    let (_name, handle) = ctx
-        .registry
-        .resolve(spec.model.as_deref())
-        .map_err(|e| e.to_string())?;
-    // Same deadline rebind as `resolve_handle`: the runner must never park
-    // forever on a full queue either.
-    let handle = match handle.backpressure() {
-        Backpressure::Block => {
-            handle.with_backpressure(Backpressure::Timeout(ctx.cfg.request_deadline))
-        }
-        _ => handle,
-    };
-    let samples: Vec<MultivariateSeries> = spec
-        .series_list
-        .iter()
-        .map(|rows| MultivariateSeries::from_rows(rows))
-        .collect();
-    let mut backend = ServiceBackend::new(handle, None);
+    let (mut backend, samples) = job_inputs(ctx, spec.model.as_deref(), &spec.series_list)?;
     run_harness(
         &mut backend,
         &samples,
@@ -1576,22 +1478,9 @@ fn run_eval_job(
 /// validation happens at submit time so bad requests are structured 400s
 /// rather than `failed` jobs discovered on the first poll.
 fn handle_analyze_submit(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
-    let value = match parse_json_body(conn, req, ctx) {
-        Ok(v) => v,
-        Err(after) => return after,
-    };
-    let parsed = match wire::parse_analyze(&value) {
+    let parsed = match parse_request(conn, req, ctx, wire::parse_analyze) {
         Ok(p) => p,
-        Err(msg) => {
-            return respond(
-                conn,
-                ctx,
-                400,
-                &[],
-                &wire::error_body("bad_request", &msg),
-                false,
-            )
-        }
+        Err(after) => return after,
     };
     let name = match ctx.registry.resolve(parsed.model.as_deref()) {
         Ok((name, _)) => name,
@@ -1603,36 +1492,18 @@ fn handle_analyze_submit(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
     for (i, rows) in parsed.series_list.iter().enumerate() {
         let n = rows.first().map(Vec::len).unwrap_or(0);
         if rows.len() != parsed.series_list[0].len() || n != n0 {
-            return respond(
-                conn,
-                ctx,
-                400,
-                &[],
-                &wire::error_body(
-                    "shape_mismatch",
-                    &format!("instance {i} does not share instance 0's (dims, len) geometry"),
-                ),
-                false,
-            );
+            let msg = format!("instance {i} does not share instance 0's (dims, len) geometry");
+            return respond_error(conn, ctx, 400, "shape_mismatch", &msg);
         }
     }
     if let Some(info) = ctx.registry.list().into_iter().find(|m| m.name == name) {
         if parsed.series_list[0].len() != info.dims {
-            return respond(
-                conn,
-                ctx,
-                400,
-                &[],
-                &wire::error_body(
-                    "shape_mismatch",
-                    &format!(
-                        "instances have {} dimensions, model \"{name}\" expects {}",
-                        parsed.series_list[0].len(),
-                        info.dims
-                    ),
-                ),
-                false,
+            let msg = format!(
+                "instances have {} dimensions, model \"{name}\" expects {}",
+                parsed.series_list[0].len(),
+                info.dims
             );
+            return respond_error(conn, ctx, 400, "shape_mismatch", &msg);
         }
         if let Some((i, &l)) = parsed
             .labels
@@ -1640,118 +1511,14 @@ fn handle_analyze_submit(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
             .enumerate()
             .find(|(_, &l)| l >= info.n_classes)
         {
-            return respond(
-                conn,
-                ctx,
-                400,
-                &[],
-                &wire::error_body(
-                    "invalid_class",
-                    &format!(
-                        "labels[{i}] = {l} but model \"{name}\" has {} classes",
-                        info.n_classes
-                    ),
-                ),
-                false,
+            let msg = format!(
+                "labels[{i}] = {l} but model \"{name}\" has {} classes",
+                info.n_classes
             );
+            return respond_error(conn, ctx, 400, "invalid_class", &msg);
         }
     }
-    match ctx.analyze.submit(parsed) {
-        Some(id) => respond(
-            conn,
-            ctx,
-            202,
-            &[],
-            &wire::job_submitted_body(id, "queued"),
-            false,
-        ),
-        None => {
-            ctx.counters
-                .backpressure_503
-                .fetch_add(1, Ordering::Relaxed);
-            respond(
-                conn,
-                ctx,
-                503,
-                &[("retry-after", ctx.cfg.retry_after_s.to_string())],
-                &wire::error_body("overloaded", "analyze job queue is full"),
-                false,
-            )
-        }
-    }
-}
-
-/// `GET /v1/analyze/{id}`: job status, plus the motif report once done or
-/// the failure message once failed. Ids unknown to the in-memory store
-/// fall back to a report persisted under [`ServerConfig::jobs_dir`].
-fn handle_analyze_status(conn: &mut Conn, ctx: &Ctx, id: u64) -> After {
-    match ctx.analyze.status(id) {
-        None => match ctx
-            .cfg
-            .jobs_dir
-            .as_deref()
-            .and_then(|dir| read_persisted_report(dir, "analyze", id))
-        {
-            Some(body) => respond(conn, ctx, 200, &[], &body, false),
-            None => respond(
-                conn,
-                ctx,
-                404,
-                &[],
-                &wire::error_body("unknown_job", &format!("no analyze job {id}")),
-                false,
-            ),
-        },
-        Some(status) => {
-            let body = match &status {
-                JobStatus::Done(report) => {
-                    wire::analyze_status_body(id, status.name(), Some(report), None)
-                }
-                JobStatus::Failed(msg) => {
-                    wire::analyze_status_body(id, status.name(), None, Some(msg))
-                }
-                _ => wire::analyze_status_body(id, status.name(), None, None),
-            };
-            respond(conn, ctx, 200, &[], &body, false)
-        }
-    }
-}
-
-/// `DELETE /v1/analyze/{id}`: cancel a queued or running job (idempotent
-/// on finished ones); answers with the status after the cancel took
-/// effect.
-fn handle_analyze_cancel(conn: &mut Conn, ctx: &Ctx, id: u64) -> After {
-    match ctx.analyze.cancel(id) {
-        None => respond(
-            conn,
-            ctx,
-            404,
-            &[],
-            &wire::error_body("unknown_job", &format!("no analyze job {id}")),
-            false,
-        ),
-        Some(status) => respond(
-            conn,
-            ctx,
-            200,
-            &[],
-            &wire::job_submitted_body(id, status.name()),
-            false,
-        ),
-    }
-}
-
-/// The analyze runner thread: same shape as [`eval_runner`] — one job at
-/// a time, model re-resolved per job.
-fn analyze_runner(ctx: &Ctx) {
-    while let Some((id, spec, cancel)) = ctx.analyze.next_job(&ctx.shutdown) {
-        let result = run_analyze_job(ctx, spec, &cancel);
-        if let (Some(dir), Ok(report)) = (ctx.cfg.jobs_dir.as_deref(), &result) {
-            let body = wire::analyze_status_body(id, "done", Some(report), None);
-            persist_report(dir, "analyze", id, &body);
-        }
-        ctx.analyze.finish(id, result);
-    }
+    enqueue(conn, ctx, &ctx.analyze, parsed)
 }
 
 fn run_analyze_job(
@@ -1759,22 +1526,7 @@ fn run_analyze_job(
     spec: wire::AnalyzeRequest,
     cancel: &AtomicBool,
 ) -> Result<MotifReport, String> {
-    let (_name, handle) = ctx
-        .registry
-        .resolve(spec.model.as_deref())
-        .map_err(|e| e.to_string())?;
-    let handle = match handle.backpressure() {
-        Backpressure::Block => {
-            handle.with_backpressure(Backpressure::Timeout(ctx.cfg.request_deadline))
-        }
-        _ => handle,
-    };
-    let samples: Vec<MultivariateSeries> = spec
-        .series_list
-        .iter()
-        .map(|rows| MultivariateSeries::from_rows(rows))
-        .collect();
-    let mut backend = ServiceBackend::new(handle, None);
+    let (mut backend, samples) = job_inputs(ctx, spec.model.as_deref(), &spec.series_list)?;
     mine_motifs(
         &mut backend,
         &samples,
@@ -1785,22 +1537,9 @@ fn run_analyze_job(
 }
 
 fn handle_classify(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
-    let value = match parse_json_body(conn, req, ctx) {
-        Ok(v) => v,
-        Err(after) => return after,
-    };
-    let parsed = match wire::parse_classify(&value) {
+    let parsed = match parse_request(conn, req, ctx, wire::parse_classify) {
         Ok(r) => r,
-        Err(msg) => {
-            return respond(
-                conn,
-                ctx,
-                400,
-                &[],
-                &wire::error_body("bad_request", &msg),
-                false,
-            )
-        }
+        Err(after) => return after,
     };
     let handle = match resolve_handle(conn, ctx, parsed.model.as_deref()) {
         Ok(h) => h,
@@ -1814,10 +1553,7 @@ fn handle_classify(conn: &mut Conn, req: &Request, ctx: &Ctx) -> After {
     };
     match await_future(conn, ctx, future) {
         Awaited::Done(Ok(c)) => respond(conn, ctx, 200, &[], &wire::classify_body(&c), false),
-        Awaited::Done(Err(e)) => {
-            let body = wire::error_body("worker_lost", &e.to_string());
-            respond(conn, ctx, 500, &[], &body, false)
-        }
+        Awaited::Done(Err(e)) => respond_error(conn, ctx, 500, "worker_lost", &e.to_string()),
         Awaited::Disconnected => After::Close,
         Awaited::DeadlineExceeded => {
             let body = wire::error_body("deadline_exceeded", "request deadline exceeded");

@@ -39,10 +39,16 @@ pub struct ExplainRequest {
     pub inject_panic: bool,
 }
 
+/// The `series` field of a body: `D × n` rows of finite f32 samples.
 fn series_rows(v: &Value) -> Result<Vec<Vec<f32>>, String> {
-    let rows = v
-        .get("series")
-        .ok_or("missing field \"series\"")?
+    rows_of(v.get("series").ok_or("missing field \"series\"")?)
+}
+
+/// One instance's per-dimension rows. A sample that is not finite once
+/// narrowed to f32 (`1e999`, or `1e39` past `f32::MAX`) is rejected here
+/// rather than poisoning the engine's arithmetic.
+fn rows_of(series: &Value) -> Result<Vec<Vec<f32>>, String> {
+    let rows = series
         .as_array()
         .ok_or("\"series\" must be an array of per-dimension rows")?;
     if rows.is_empty() {
@@ -57,8 +63,12 @@ fn series_rows(v: &Value) -> Result<Vec<Vec<f32>>, String> {
         for (t, x) in row.iter().enumerate() {
             let x = x
                 .as_f64()
-                .ok_or_else(|| format!("series[{d}][{t}] is not a number"))?;
-            samples.push(x as f32);
+                .ok_or_else(|| format!("series[{d}][{t}] is not a number"))?
+                as f32;
+            if !x.is_finite() {
+                return Err(format!("series[{d}][{t}] is not a finite f32"));
+            }
+            samples.push(x);
         }
         if samples.len() != out.first().map_or(samples.len(), Vec::len) {
             return Err(format!(
@@ -278,11 +288,10 @@ pub struct EvalRequest {
     pub config: HarnessConfig,
 }
 
-/// Parses a `POST /v1/eval` body: `series` (array of instances), `labels`,
-/// plus optional `model`, `methods`, `k_grid`, `mask`,
-/// `occlusion: {window, stride, baseline}` and `seed` overriding the
-/// [`HarnessConfig`] defaults.
-pub fn parse_eval(v: &Value) -> Result<EvalRequest, String> {
+/// The dataset of a job body (`/v1/eval`, `/v1/analyze`): `series` as an
+/// array of instances, and one entry of `labels` per instance.
+#[allow(clippy::type_complexity)]
+fn labelled_instances(v: &Value) -> Result<(Vec<Vec<Vec<f32>>>, Vec<usize>), String> {
     let instances = v
         .get("series")
         .ok_or("missing field \"series\"")?
@@ -293,9 +302,7 @@ pub fn parse_eval(v: &Value) -> Result<EvalRequest, String> {
     }
     let mut series_list = Vec::with_capacity(instances.len());
     for (i, inst) in instances.iter().enumerate() {
-        let wrapped = Value::Object(vec![("series".into(), inst.clone())]);
-        let rows = series_rows(&wrapped).map_err(|e| format!("instance {i}: {e}"))?;
-        series_list.push(rows);
+        series_list.push(rows_of(inst).map_err(|e| format!("instance {i}: {e}"))?);
     }
     let labels_v = v
         .get("labels")
@@ -316,7 +323,15 @@ pub fn parse_eval(v: &Value) -> Result<EvalRequest, String> {
             labels.len()
         ));
     }
+    Ok((series_list, labels))
+}
 
+/// Parses a `POST /v1/eval` body: `series` (array of instances), `labels`,
+/// plus optional `model`, `methods`, `k_grid`, `mask`,
+/// `occlusion: {window, stride, baseline}` and `seed` overriding the
+/// [`HarnessConfig`] defaults.
+pub fn parse_eval(v: &Value) -> Result<EvalRequest, String> {
+    let (series_list, labels) = labelled_instances(v)?;
     let mut config = HarnessConfig::default();
     if let Some(m) = v.get("methods") {
         let arr = m
@@ -488,12 +503,13 @@ pub fn job_submitted_body(id: u64, status: &str) -> String {
     serde_json::to_string(&v).unwrap_or_default()
 }
 
-/// The `GET /v1/eval/{id}` body: status plus — once finished — the report
-/// or the failure message.
-pub fn eval_status_body(
+/// The `GET /v1/{eval,analyze}/{id}` body: status plus — once finished —
+/// the report (as rendered by [`eval_report_value`] or
+/// [`motif_report_value`]) or the failure message.
+pub fn job_status_body(
     id: u64,
     status: &str,
-    report: Option<&EvalReport>,
+    report: Option<Value>,
     error: Option<&str>,
 ) -> String {
     let mut fields = vec![
@@ -501,7 +517,7 @@ pub fn eval_status_body(
         ("status", Value::String(status.into())),
     ];
     if let Some(r) = report {
-        fields.push(("report", eval_report_value(r)));
+        fields.push(("report", r));
     }
     if let Some(e) = error {
         fields.push(("error", Value::String(e.into())));
@@ -527,40 +543,7 @@ pub struct AnalyzeRequest {
 /// `dba_iters`, `band`, `window`, `top_windows`, `tol` and `seed`
 /// overriding the [`AnalyzeConfig`] defaults.
 pub fn parse_analyze(v: &Value) -> Result<AnalyzeRequest, String> {
-    let instances = v
-        .get("series")
-        .ok_or("missing field \"series\"")?
-        .as_array()
-        .ok_or("\"series\" must be an array of instances")?;
-    if instances.is_empty() {
-        return Err("\"series\" must hold at least one instance".into());
-    }
-    let mut series_list = Vec::with_capacity(instances.len());
-    for (i, inst) in instances.iter().enumerate() {
-        let wrapped = Value::Object(vec![("series".into(), inst.clone())]);
-        let rows = series_rows(&wrapped).map_err(|e| format!("instance {i}: {e}"))?;
-        series_list.push(rows);
-    }
-    let labels_v = v
-        .get("labels")
-        .ok_or("missing field \"labels\"")?
-        .as_array()
-        .ok_or("\"labels\" must be an array of class indices")?;
-    let mut labels = Vec::with_capacity(labels_v.len());
-    for (i, l) in labels_v.iter().enumerate() {
-        labels.push(
-            l.as_usize()
-                .ok_or_else(|| format!("labels[{i}] is not a non-negative integer"))?,
-        );
-    }
-    if labels.len() != series_list.len() {
-        return Err(format!(
-            "{} instances but {} labels",
-            series_list.len(),
-            labels.len()
-        ));
-    }
-
+    let (series_list, labels) = labelled_instances(v)?;
     let mut config = AnalyzeConfig::default();
     if let Some(c) = opt_usize(v, "clusters")? {
         if c == 0 {
@@ -798,27 +781,6 @@ pub fn motif_report_from_value(v: &Value) -> Result<MotifReport, String> {
             .ok_or("report missing \"base_accuracy\"")? as f32,
         classes,
     })
-}
-
-/// The `GET /v1/analyze/{id}` body: status plus — once finished — the
-/// report or the failure message.
-pub fn analyze_status_body(
-    id: u64,
-    status: &str,
-    report: Option<&MotifReport>,
-    error: Option<&str>,
-) -> String {
-    let mut fields = vec![
-        ("id", num(id as f64)),
-        ("status", Value::String(status.into())),
-    ];
-    if let Some(r) = report {
-        fields.push(("report", motif_report_value(r)));
-    }
-    if let Some(e) = error {
-        fields.push(("error", Value::String(e.into())));
-    }
-    serde_json::to_string(&obj(fields)).unwrap_or_default()
 }
 
 /// One job store's [`JobCounters`] as a JSON tree (the per-endpoint

@@ -246,12 +246,16 @@ fn job_lifecycle_capacity_cancel_and_errors() {
         .unwrap_or_default();
     assert_eq!(code, "bad_request");
 
-    // Unknown ids: structured 404 on both GET and DELETE.
-    for method in ["GET", "DELETE"] {
-        let resp = client
-            .request(method, "/v1/analyze/999", None)
-            .expect("request");
-        assert_eq!(resp.status, 404, "{method} body: {}", resp.body);
+    // Unknown or malformed ids are structured 404s; methods the id route
+    // does not take are 405s.
+    for (method, path, status) in [
+        ("GET", "/v1/analyze/999", 404),
+        ("DELETE", "/v1/analyze/999", 404),
+        ("GET", "/v1/analyze/not-a-number", 404),
+        ("PUT", "/v1/analyze/1", 405),
+    ] {
+        let resp = client.request(method, path, None).expect("request");
+        assert_eq!(resp.status, status, "{method} {path} body: {}", resp.body);
     }
     // Wrong method on the collection route.
     let resp = client.get("/v1/analyze").expect("GET collection");

@@ -265,14 +265,20 @@ fn oversized_occlusion_window_is_a_structured_400() {
 fn unknown_job_ids_are_404s() {
     let server = planted_server(ServerConfig::default());
     let mut client = HttpClient::connect(&server.addr().to_string()).unwrap();
-    for (method, path) in [
-        ("GET", "/v1/eval/9999"),
-        ("DELETE", "/v1/eval/9999"),
-        ("GET", "/v1/eval/not-a-number"),
+    for (method, path, status, code) in [
+        ("GET", "/v1/eval/9999", 404, "unknown_job"),
+        ("DELETE", "/v1/eval/9999", 404, "unknown_job"),
+        ("GET", "/v1/eval/not-a-number", 404, "unknown_job"),
+        ("GET", "/v1/eval", 405, "method_not_allowed"),
+        ("PUT", "/v1/eval/1", 405, "method_not_allowed"),
     ] {
         let resp = client.request(method, path, None).unwrap();
-        assert_eq!(resp.status, 404, "{method} {path} answered {}", resp.status);
-        assert_eq!(error_code(&resp.body), "unknown_job");
+        assert_eq!(
+            resp.status, status,
+            "{method} {path} answered {}",
+            resp.status
+        );
+        assert_eq!(error_code(&resp.body), code);
     }
 }
 

@@ -280,6 +280,17 @@ fn malformed_and_wrong_shape_requests_get_structured_4xx() {
     assert_eq!(resp.status, 400);
     assert_eq!(error_code(&resp.body), "bad_request");
 
+    // Samples that are not finite f32s: `1e999` overflows f64, `1e39`
+    // overflows f32 only.
+    for path in ["/v1/explain", "/v1/classify"] {
+        for x in ["1e999", "1e39"] {
+            let body = format!(r#"{{"series": [[1, {x}], [0, 0], [0, 0]]}}"#);
+            let resp = client.post(path, &body).expect("post");
+            assert_eq!(resp.status, 400, "{path} with {x}: {}", resp.body);
+            assert_eq!(error_code(&resp.body), "bad_request");
+        }
+    }
+
     // Wrong dimension count (model expects 3).
     let resp = client
         .post(
@@ -390,7 +401,7 @@ fn malformed_and_wrong_shape_requests_get_structured_4xx() {
         service_stats.submitted, 0,
         "malformed requests must never reach the queue"
     );
-    assert_eq!(server_stats.responses_4xx, 13);
+    assert_eq!(server_stats.responses_4xx, 17);
 }
 
 #[test]
